@@ -3,7 +3,8 @@
 classify_dim builds dimension n from dimension < n: direct sums with a
 one-dimensional trivial algebra supply the classes with a central component,
 orbit representatives of allowable subspaces of H² supply the central
-extensions without one, and an isomorphism test removes duplicates.
+extensions without one; by the Skjelbred–Sund theorem no two of them are
+isomorphic.
 brute_force_classes is the independent oracle: enumerate every symmetric
 structure-constant table, filter, and partition by explicit basis changes.
 """
@@ -103,24 +104,16 @@ def classify_dim(n, fld, _memo=None):
                 candidates.append(
                     (ext, Provenance("extension", n - r, idx, r, rep.coords)))
 
-    kept = []
-    buckets = {}
-    for cand, prov in candidates:
-        key = cand.fingerprint()
-        bucket = buckets.setdefault(key, [])
-        if any(homsearch.find_witness(cand, other) is not None
-               for other, _ in bucket):
-            continue
-        bucket.append((cand, prov))
-        kept.append((cand, prov))
-
+    # Skjelbred–Sund: the candidates are pairwise non-isomorphic (direct
+    # sums by their parts without a central component, extensions by their
+    # Aut-orbits), so no isomorphism test runs between them.
     from .files import render_algebra
-    kept.sort(key=lambda cp: (fingerprint_key(cp[0].fingerprint()),
-                              render_algebra(cp[0])))
+    candidates.sort(key=lambda cp: (fingerprint_key(cp[0].fingerprint()),
+                                    render_algebra(cp[0])))
     result = ClassificationResult(
         n, fld,
-        tuple(c for c, _ in kept),
-        tuple(p for _, p in kept))
+        tuple(c for c, _ in candidates),
+        tuple(p for _, p in candidates))
     memo[n] = result
     return result
 

@@ -271,7 +271,13 @@ def _emit_classification(result, label, as_json):
     return
 
 
+def _check_dim(dim):
+    if dim < 1:
+        raise InputError(f"--dim must be at least 1, got {dim}")
+
+
 def cmd_classify(args):
+    _check_dim(args.dim)
     fld = _parse_field(args.field)
     if not fld.is_prime_field:
         raise InputError("classify needs a prime field (use F:<p>)")
@@ -281,6 +287,7 @@ def cmd_classify(args):
 
 
 def cmd_oracle(args):
+    _check_dim(args.dim)
     fld = _parse_field(args.field)
     if not fld.is_prime_field:
         raise InputError("the oracle needs a prime field (use F:<p>)")

@@ -262,7 +262,8 @@ class H2Space:
     coordinate order, so reduction of any cocycle modulo δC¹ is deterministic.
     """
 
-    __slots__ = ("algebra", "z2", "coboundaries", "basis", "_solve_rows")
+    __slots__ = ("algebra", "z2", "coboundaries", "basis", "_projection",
+                 "_annihilator")
 
     def __init__(self, a):
         self.algebra = a
@@ -280,9 +281,19 @@ class H2Space:
                 added.append(red)
                 work_rows, work_piv = linalg.rref(f, list(work_rows) + [red])
         self.basis = tuple(BilinearForm.from_vector(f, a.dim, v) for v in added)
-        # columns: coboundary basis then H² basis; solve once per reduction
-        cols = list(self.coboundaries.rows) + [b.vectorize() for b in self.basis]
-        self._solve_rows = linalg.transpose(cols) if cols else ()
+        # Rows δC¹, then H², then unit vectors off the pivots of their span
+        # form a basis of all forms.  Column k of the inverse reads off the
+        # k-th coordinate in that basis: the H² columns are the projection,
+        # and the unit-vector columns vanish exactly on δC¹ + H² = Z².
+        size = triangle_size(a.dim)
+        pivots = set(work_piv)
+        outside = [linalg.unit(f, size, c) for c in range(size)
+                   if c not in pivots]
+        cols = linalg.transpose(linalg.invert(
+            f, list(self.coboundaries.rows) + added + outside))
+        start = self.coboundaries.dim
+        self._projection = linalg.transpose(cols[start:start + len(added)])
+        self._annihilator = cols[start + len(added):]
 
     @property
     def dim(self):
@@ -297,15 +308,11 @@ class H2Space:
 
     def reduce(self, form):
         """Coordinates of form modulo δC¹ in the H² basis."""
+        f = self.field
         vec = form.vectorize()
-        if not self._solve_rows:
-            if any(vec):
-                raise ValueError("form not in Z² span")
-            return ()
-        sol = linalg.solve(self.field, self._solve_rows, vec)
-        if sol is None:
+        if any(f.dot(vec, w) for w in self._annihilator):
             raise ValueError("form is not a cocycle (not in Z² span)")
-        return tuple(sol[self.coboundaries.dim:])
+        return linalg.vec_mat(f, vec, self._projection)
 
     def lift(self, coords):
         f = self.field

@@ -169,6 +169,16 @@ def verify_witness(a, b, phi):
     return algebra_mod.is_isomorphism(a, b, phi)
 
 
+class InvalidWitnessError(RuntimeError):
+    """A witness search returned a map that is not an isomorphism."""
+
+
+def _check_witness(a, b, witness):
+    # an explicit check, not an assert: it must run under python -O too
+    if not verify_witness(a, b, witness):
+        raise InvalidWitnessError(f"witness {witness} is not an isomorphism")
+
+
 def decide(a, b, mode=MODE_BASE_FIELD_FIRST, limits=None,
            q_entries=homsearch.QQ_ENTRIES, q_node_budget=20_000):
     """Classify the pair: see IsoVerdict kinds for the possible outcomes."""
@@ -194,7 +204,7 @@ def decide(a, b, mode=MODE_BASE_FIELD_FIRST, limits=None,
         if a.field.is_prime_field:
             witness = homsearch.find_witness(a, b)
             if witness is not None:
-                assert verify_witness(a, b, witness)
+                _check_witness(a, b, witness)
                 return IsoVerdict(ISOMORPHIC, witness=witness,
                                   base_field_conclusive=True)
             base_conclusive = True  # the search over F_p is exhaustive
@@ -202,7 +212,7 @@ def decide(a, b, mode=MODE_BASE_FIELD_FIRST, limits=None,
             witness = q_heuristic()
             q_searched = True
             if witness is not None:
-                assert verify_witness(a, b, witness)
+                _check_witness(a, b, witness)
                 return IsoVerdict(ISOMORPHIC, witness=witness,
                                   base_field_conclusive=True)
 
@@ -219,7 +229,7 @@ def decide(a, b, mode=MODE_BASE_FIELD_FIRST, limits=None,
     if not a.field.is_prime_field:
         witness = None if q_searched else q_heuristic()
         if witness is not None:
-            assert verify_witness(a, b, witness)
+            _check_witness(a, b, witness)
             return IsoVerdict(ISOMORPHIC, witness=witness,
                               base_field_conclusive=True)
         return IsoVerdict(ISOMORPHIC_OVER_CLOSURE,

@@ -105,24 +105,6 @@ def nullspace(field, rows, ncols):
     return rref(field, basis)[0]
 
 
-def solve(field, rows, rhs):
-    """One solution x of rows · x^T = rhs^T, or None."""
-    if not rows:
-        return None if any(rhs) else ()
-    ncols = len(rows[0])
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    red, pivots = rref(field, aug)
-    for row in red:
-        if not any(row[:-1]) and row[-1]:
-            return None
-    x = [field.zero] * ncols
-    for r, pc in enumerate(pivots):
-        if pc == ncols:
-            return None
-        x[pc] = red[r][-1]
-    return tuple(x)
-
-
 def invert(field, m):
     """Inverse matrix, or None if singular."""
     n = len(m)

@@ -16,11 +16,12 @@ from .homsearch import find_isomorphisms
 class AutGroup:
     """The full automorphism group of an algebra over a prime field."""
 
-    __slots__ = ("algebra", "elements")
+    __slots__ = ("algebra", "elements", "_members")
 
     def __init__(self, algebra, elements):
         self.algebra = algebra
         self.elements = tuple(elements)
+        self._members = None
 
     def __len__(self):
         return len(self.elements)
@@ -29,7 +30,9 @@ class AutGroup:
         return iter(self.elements)
 
     def __contains__(self, m):
-        return tuple(tuple(r) for r in m) in set(self.elements)
+        if self._members is None:
+            self._members = frozenset(self.elements)
+        return tuple(tuple(r) for r in m) in self._members
 
 
 def automorphism_group(a):
@@ -132,32 +135,34 @@ def allowable_points(a, h2, r):
             if _is_allowable_point(a, h2, pt)]
 
 
-def orbit_of_point(h2, aut, pt):
-    """Full orbit of a point under the automorphism group (single pass)."""
-    field = h2.field
-    mats = {h2_action_matrix(h2, phi) for phi in aut}
+def _action_matrices(h2, aut):
+    return sorted({h2_action_matrix(h2, phi) for phi in aut})
+
+
+def _orbit(field, action_mats, pt):
     orbit = set()
-    for m in mats:
+    for m in action_mats:
         rows = [linalg.vec_mat(field, row, m) for row in pt.coords]
         orbit.add(_canonical_point(field, rows))
     return orbit
+
+
+def orbit_of_point(h2, aut, pt):
+    """Full orbit of a point under the automorphism group (single pass)."""
+    return _orbit(h2.field, _action_matrices(h2, aut), pt)
 
 
 def orbit_representatives_from(a, h2, aut, r):
     """Orbit representatives with precomputed H² data and Aut group."""
     if r > h2.dim:
         return []
-    field = a.field
-    action_mats = sorted({h2_action_matrix(h2, phi) for phi in aut})
+    action_mats = _action_matrices(h2, aut)
     reps = []
     visited = set()
     for pt in allowable_points(a, h2, r):
         if pt in visited:
             continue
-        orbit = set()
-        for m in action_mats:
-            rows = [linalg.vec_mat(field, row, m) for row in pt.coords]
-            orbit.add(_canonical_point(field, rows))
+        orbit = _orbit(a.field, action_mats, pt)
         visited |= orbit
         reps.append(min(orbit, key=_point_key))
     return sorted(reps, key=_point_key)

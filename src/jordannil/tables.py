@@ -7,6 +7,7 @@ sense); square-class families carry an alpha parameter of +1 or -1.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import isotest
 from .algebra import Algebra
@@ -169,8 +170,15 @@ def entry_field(case):
     return GF(2) if case == "char2" else QQ
 
 
-def _verify_entry(entry, fld):
-    a = entry.algebra(fld)
+@lru_cache(maxsize=None)
+def _entry_algebra(case, dim, index):
+    """catalog(case, dim)[index] over its field, built once per process so
+    that its invariants are computed once, not once per pair."""
+    return catalog(case, dim)[index].algebra(entry_field(case))
+
+
+def _verify_entry(entry, a):
+    fld = a.field
     nilpotent, _ = a.is_nilpotent()
     checks = {
         "jordan": a.check_jordan(),
@@ -187,8 +195,7 @@ def _verify_entry(entry, fld):
     return checks
 
 
-def _certify_pair(e1, e2, fld, mode, limits=None):
-    a, b = e1.algebra(fld), e2.algebra(fld)
+def _certify_pair(a, b, mode, limits=None):
     verdict = isotest.decide(a, b, mode=mode, limits=limits)
     if verdict.kind == isotest.DISTINGUISHED:
         return ("fingerprint", True, verdict.invariant)
@@ -213,7 +220,9 @@ def _pair_job(args):
                 "closure-merged; distinctness over the reals out of scope")
     mode = (isotest.MODE_BASE_FIELD_FIRST if fld.is_prime_field
             else isotest.MODE_CLOSURE_ONLY)
-    method, ok, detail = _certify_pair(e1, e2, fld, mode, limits)
+    method, ok, detail = _certify_pair(_entry_algebra(case, dim, i),
+                                       _entry_algebra(case, dim, j),
+                                       mode, limits)
     return (e1.entry_id, e2.entry_id, method, ok, detail)
 
 
@@ -239,8 +248,9 @@ class CatalogReport:
 def catalog_verify(case, dim=None, jobs=1, limits=None):
     """Check every entry and certify pairwise distinctness where in scope."""
     entries = catalog(case, dim)
-    fld = entry_field(case)
-    entry_checks = tuple((e.entry_id, _verify_entry(e, fld)) for e in entries)
+    entry_checks = tuple(
+        (e.entry_id, _verify_entry(e, _entry_algebra(case, dim, i)))
+        for i, e in enumerate(entries))
     jobs_args = []
     by_dim = {}
     for i, e in enumerate(entries):

@@ -50,6 +50,21 @@ def test_classify_deterministic():
     assert a.provenance == b.provenance
 
 
+@pytest.mark.parametrize("p, top", [(2, 4), (3, 4), (5, 3)])
+def test_classes_pairwise_non_isomorphic(p, top):
+    # classify_dim relies on Skjelbred-Sund and runs no isomorphism test
+    # between its candidates; the exhaustive witness search confirms that
+    # no two classes with the same fingerprint are isomorphic
+    for n in range(2, top + 1):
+        buckets = {}
+        for rep in classify_dim(n, GF(p)).representatives:
+            buckets.setdefault(rep.fingerprint(), []).append(rep)
+        for bucket in buckets.values():
+            for i, a in enumerate(bucket):
+                for b in bucket[i + 1:]:
+                    assert homsearch.find_witness(a, b) is None, (p, n)
+
+
 def test_brute_force_counts():
     assert len(brute_force_classes(2, GF(2))) == 2
     assert len(brute_force_classes(2, GF(3))) == 2
@@ -159,6 +174,24 @@ def test_dim4_classification_contains_catalog_tables():
             bucket = reps_by_fp.get(inst.fingerprint(), [])
             assert any(homsearch.find_witness(inst, rep) is not None
                        for rep in bucket), (case, entry.entry_id)
+
+
+def test_catalog_verify_builds_each_entry_once(monkeypatch):
+    built = []
+    original = tables.CatalogEntry.algebra
+
+    def counting(entry, fld=QQ):
+        built.append(entry.entry_id)
+        return original(entry, fld)
+
+    monkeypatch.setattr(tables.CatalogEntry, "algebra", counting)
+    tables._entry_algebra.cache_clear()
+    try:
+        rep = tables.catalog_verify("closed", 3)
+    finally:
+        tables._entry_algebra.cache_clear()
+    assert rep.ok
+    assert sorted(built) == sorted(e.entry_id for e in tables.catalog("closed", 3))
 
 
 def test_catalog_verify_parallel_matches_serial():

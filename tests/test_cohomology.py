@@ -138,6 +138,48 @@ def test_h2_reduce_and_lift_roundtrip():
         h2.reduce(dual_form(GF(3), 2, 2, 2))   # not a cocycle of J_{2,2}
 
 
+@pytest.mark.parametrize("fld", [GF(2), GF(3), GF(5), QQ],
+                         ids=["F2", "F3", "F5", "Q"])
+def test_h2_reduce_is_projection_modulo_coboundaries(fld):
+    rnd = random.Random(fld.characteristic)
+    case = "char2" if fld.characteristic == 2 else "closed"
+    algebras = [zero_algebra(fld, 3)] + [
+        e.algebra(fld) for e in tables.catalog(case) if e.dim in (2, 3)]
+
+    def scalar():
+        return fld.of(rnd.randint(-3, 3)) if fld is QQ \
+            else rnd.randrange(fld.p)
+
+    rejected = 0
+    for a in algebras:
+        h2 = h2_space(a)
+        n = a.dim
+        for _ in range(5):
+            coords = tuple(scalar() for _ in range(h2.dim))
+            f = [scalar() for _ in range(n)]
+            delta = coh.BilinearForm(fld, [[fld.dot(f, a.table[i][j])
+                                            for j in range(n)]
+                                           for i in range(n)])
+            theta = h2.lift(coords).add(delta)
+            assert h2.reduce(theta) == coords
+            for i in range(1, n + 1):
+                for j in range(1, i + 1):
+                    s_ij = dual_form(fld, n, i, j)
+                    if h2.z2.contains(s_ij):
+                        continue
+                    rejected += 1
+                    with pytest.raises(ValueError):
+                        h2.reduce(theta.add(s_ij))
+        if a == zero_algebra(fld, n):
+            assert h2.z2.dim == coh.triangle_size(n)
+    assert rejected > 0
+    # K itself (e∘e = e): every form is a coboundary, so H² = 0
+    line = Algebra(fld, 1, {(1, 1, 1): 1})
+    h2 = h2_space(line)
+    assert h2.dim == 0
+    assert h2.reduce(dual_form(fld, 1, 1, 1).scale(scalar())) == ()
+
+
 def test_radical_examples():
     ident = dual_form(QQ, 2, 1, 1).add(dual_form(QQ, 2, 2, 2))
     assert radical(ident).is_zero()

@@ -127,6 +127,15 @@ def test_cli_classify_dim4_runs(capsys):
     assert "classes" in out.splitlines()[0]
 
 
+@pytest.mark.parametrize("verb", ["classify", "oracle"])
+@pytest.mark.parametrize("dim", ["0", "-1"])
+def test_cli_dim_below_one_exits_2(capsys, verb, dim):
+    assert cli.main([verb, "--dim", dim, "--field", "F:3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_cli_oracle(capsys):
     code, out = run_cli(capsys, "oracle", "--dim", "2", "--field", "F:3")
     assert code == 0

@@ -107,6 +107,16 @@ def test_verify_witness_examples(catalog_algebra):
     assert not verify_witness(lhs, lhs, ((1, 0), (0, 1)))
 
 
+@pytest.mark.parametrize("fld, mode", [(GF(3), "base"), (QQ, "base"),
+                                       (QQ, "closure")])
+def test_decide_rejects_invalid_witness(monkeypatch, fld, mode):
+    # each of the three witness sites raises, with or without python -O
+    a = Algebra(fld, 3, {(1, 1, 2): 1, (1, 2, 3): 1})
+    monkeypatch.setattr(isotest, "verify_witness", lambda a, b, phi: False)
+    with pytest.raises(isotest.InvalidWitnessError):
+        decide(a, a, mode=mode)
+
+
 def test_decide_modes():
     f3 = GF(3)
     j33a = Algebra(f3, 3, {(1, 1, 3): 1, (2, 2, 3): 1})

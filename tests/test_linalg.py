@@ -25,17 +25,12 @@ def test_nullspace():
     assert not ns.contains((1, 0, 0))
 
 
-def test_solve_and_invert():
+def test_invert():
     f = GF(5)
     a = ((1, 2), (3, 4))
-    x = linalg.solve(f, a, (1, 0))
-    assert x is not None
-    assert linalg.vec_mat(f, x, linalg.transpose(a)) == (1, 0)
     inv = linalg.invert(f, a)
     assert linalg.mat_mul(f, a, inv) == linalg.identity(f, 2)
     assert linalg.invert(f, ((1, 2), (2, 4))) is None
-    assert linalg.solve(f, ((1, 1),), (2,)) is not None
-    assert linalg.solve(f, ((0, 0),), (1,)) is None
 
 
 def test_det():
