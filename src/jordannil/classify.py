@@ -52,22 +52,25 @@ class ClassificationResult:
         return len(self.representatives)
 
 
-def descendants_with_reps(a, r, verify=True):
-    """(J_θ, orbit representative) for each Aut-orbit of allowable subspaces."""
+def descendants_with_reps(a, r):
+    """(J_θ, orbit representative) for each Aut-orbit of allowable subspaces.
+
+    Each J_θ is built once and checked against the centre lemma
+    Z(J_θ) = (θ⊥ ∩ Z(J)) ⊕ V; a violation raises, under python -O too.
+    """
     h2 = cohomology.h2_space(a)
     if r > h2.dim:
         return []
     aut = orbits.automorphism_group(a)
     out = []
     for rep in orbits.orbit_representatives_from(a, h2, aut, r):
-        forms = orbits.point_forms(h2, rep)
-        vec = extension.CocycleVector(a, forms, validate=True)
+        # lifts of H² coordinates lie in Z² by construction
+        vec = extension.CocycleVector(a, orbits.point_forms(h2, rep),
+                                      validate=False)
         ext = extension.central_extension(a, vec, validate=False)
-        if verify:
-            _, flag = extension.centre_of_extension_decomposition(a, vec)
-            if not flag:
-                raise AssertionError(
-                    "centre decomposition failed on a descendant")
+        _, flag = extension.centre_of_extension_decomposition(a, vec, ext)
+        if not flag:
+            raise AssertionError("centre decomposition failed on a descendant")
         out.append((ext, rep))
     return out
 

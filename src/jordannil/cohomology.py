@@ -8,6 +8,7 @@ canonical RREF bases.  S(i,j) denotes the dual basis form with value 1 on
 """
 
 from . import linalg
+from .algebra import jordan_points
 from .linalg import Subspace
 
 
@@ -132,21 +133,19 @@ def render_form(form):
     return "".join(parts) if parts else "0"
 
 
-class FormSpace:
+def _form_vector(form):
+    return form.vectorize() if isinstance(form, BilinearForm) else tuple(form)
+
+
+class FormSpace(Subspace):
     """Space of symmetric forms with canonical RREF basis (vectorized)."""
 
-    __slots__ = ("field", "n", "rows", "pivots")
+    __slots__ = ("n",)
 
     def __init__(self, field, n, forms=()):
-        self.field = field
+        super().__init__(field, triangle_size(n),
+                         [_form_vector(f) for f in forms])
         self.n = n
-        vecs = [f.vectorize() if isinstance(f, BilinearForm) else tuple(f)
-                for f in forms]
-        self.rows, self.pivots = linalg.rref(field, vecs)
-
-    @property
-    def dim(self):
-        return len(self.rows)
 
     @property
     def forms(self):
@@ -154,91 +153,49 @@ class FormSpace:
                      for r in self.rows)
 
     def contains(self, form):
-        vec = form.vectorize() if isinstance(form, BilinearForm) else tuple(form)
-        return not any(linalg.reduce_vector(self.field, vec, self.rows, self.pivots))
-
-    def contains_space(self, other):
-        return all(self.contains(r) for r in other.rows)
-
-    def __eq__(self, other):
-        return (isinstance(other, FormSpace) and self.field == other.field
-                and self.n == other.n and self.rows == other.rows)
-
-    def __hash__(self):
-        return hash((self.n, self.rows))
+        return super().contains(_form_vector(form))
 
     def __repr__(self):
         return f"FormSpace(dim {self.dim} on dim-{self.n} space)"
 
 
 def cocycle_space(a):
-    """Z²(J, K): symmetric θ with θ(x², x∘y) = θ(x, x²∘y).
+    """Z²(J, K): symmetric θ with θ(x², x∘e_j) = θ(x, x²∘e_j).
 
-    Linear conditions on the triangle coordinates of θ: pointwise over the
-    whole space for F_2/F_3, via the linearized four-variable identity on
-    basis tuples for p >= 5 and Q (equivalent there).
+    The condition is imposed at the points of `jordan_points`, where
+    `check_jordan` imposes the Jordan identity: each λ-monomial of the
+    difference gives one linear condition on the triangle coordinates of θ.
     """
     f = a.field
     n = a.dim
     size = triangle_size(n)
     rows = []
 
-    def eval_row(row, x, y):
-        # accumulate coefficients of θ(x, y) into the constraint row
-        for i in range(1, n + 1):
-            xi, yi = x[i - 1], y[i - 1]
-            for j in range(1, i + 1):
-                xj, yj = x[j - 1], y[j - 1]
-                if i == j:
-                    c = f.mul(xi, yi)
-                else:
-                    c = f.add(f.mul(xi, yj), f.mul(xj, yi))
-                if c:
-                    idx = triangle_index(i, j)
-                    row[idx] = f.add(row[idx], c)
+    def add_rows(by_monomial, p, q, sign):
+        # by_monomial[m] ±= coefficients of θ(p, q) at the λ-monomial m
+        op = f.add if sign > 0 else f.sub
+        for m1, x in p.items():
+            for m2, y in q.items():
+                m = tuple(u + v for u, v in zip(m1, m2))
+                row = by_monomial.setdefault(m, [f.zero] * size)
+                for i in range(1, n + 1):
+                    xi, yi = x[i - 1], y[i - 1]
+                    for j in range(1, i + 1):
+                        if i == j:
+                            c = f.mul(xi, yi)
+                        else:
+                            c = f.add(f.mul(xi, y[j - 1]), f.mul(x[j - 1], yi))
+                        if c:
+                            idx = triangle_index(i, j)
+                            row[idx] = op(row[idx], c)
 
-    def sub_row(row, x, y):
-        for i in range(1, n + 1):
-            xi, yi = x[i - 1], y[i - 1]
-            for j in range(1, i + 1):
-                xj, yj = x[j - 1], y[j - 1]
-                if i == j:
-                    c = f.mul(xi, yi)
-                else:
-                    c = f.add(f.mul(xi, yj), f.mul(xj, yi))
-                if c:
-                    idx = triangle_index(i, j)
-                    row[idx] = f.sub(row[idx], c)
-
-    if f.is_prime_field and f.p in (2, 3):
-        for x in a.all_vectors():
-            xx = a.product(x, x)
-            for j in range(n):
-                xy = a.product_basis(x, j)
-                xxy = a.product_basis(xx, j)
-                row = [f.zero] * size
-                eval_row(row, xx, xy)
-                sub_row(row, x, xxy)
-                if any(row):
-                    rows.append(tuple(row))
-    else:
-        units = linalg.identity(f, n)
-        t = a.table
-        for p_ in range(n):
-            for q in range(n):
-                pq = t[p_][q]
-                for r in range(n):
-                    qr, pr = t[q][r], t[p_][r]
-                    for s in range(n):
-                        row = [f.zero] * size
-                        eval_row(row, units[p_], a.product_basis(qr, s))
-                        eval_row(row, units[q], a.product_basis(pr, s))
-                        eval_row(row, units[r], a.product_basis(pq, s))
-                        sub_row(row, pq, t[r][s])
-                        sub_row(row, qr, t[p_][s])
-                        sub_row(row, pr, t[q][s])
-                        if any(row):
-                            rows.append(tuple(row))
+    for x in jordan_points(a):
+        xx = a._sym_product(x, x)
+        for j in range(n):
+            by_monomial = {}
+            add_rows(by_monomial, xx, a._sym_product_basis(x, j), 1)
+            add_rows(by_monomial, x, a._sym_product_basis(xx, j), -1)
+            rows.extend(tuple(r) for r in by_monomial.values() if any(r))
 
     basis = linalg.nullspace(f, rows, size)
     return FormSpace(f, n, basis)
@@ -380,6 +337,8 @@ def parse_form_combo(field, n, text):
             a, b = (int(v) for v in inner.split(","))
         except ValueError as exc:
             raise ValueError(f"bad S(i,j) indices {inner!r}") from exc
+        if not (1 <= a <= n and 1 <= b <= n):
+            raise ValueError(f"S({a},{b}) out of range for dimension {n}")
         terms.append((a, b, field.mul(sign, coeff)))
         i = k + 1
     form = zero_form(field, n)

@@ -84,10 +84,14 @@ def extension_is_jordan_iff_cocycle(a, beta):
     return in_z2, ext.check_jordan()
 
 
-def centre_of_extension_decomposition(a, theta):
-    """Z(J_θ) together with the check Z(J_θ) = (θ⊥ ∩ Z(J)) ⊕ V."""
+def centre_of_extension_decomposition(a, theta, ext=None):
+    """Z(J_θ) together with the check Z(J_θ) = (θ⊥ ∩ Z(J)) ⊕ V.
+
+    ext is J_θ when the caller has built it already.
+    """
     vec = _coerce_vector(a, theta, validate=True)
-    ext = central_extension(a, vec, validate=False)
+    if ext is None:
+        ext = central_extension(a, vec, validate=False)
     centre = ext.centre()
     f = a.field
     n, r = a.dim, vec.r

@@ -38,9 +38,6 @@ class Field:
     def is_prime_field(self):
         return self.kind == "Fp"
 
-    def sub(self, x, y):
-        return self.add(x, self.neg(y))
-
     def div(self, x, y):
         return self.mul(x, self.inv(y))
 
@@ -74,6 +71,9 @@ class Rationals(Field):
 
     def neg(self, x):
         return -x
+
+    def sub(self, x, y):
+        return x - y
 
     def mul(self, x, y):
         return x * y
@@ -149,6 +149,9 @@ class PrimeField(Field):
 
     def neg(self, x):
         return (-x) % self.p
+
+    def sub(self, x, y):
+        return (x - y) % self.p
 
     def mul(self, x, y):
         return (x * y) % self.p

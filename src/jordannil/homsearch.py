@@ -4,8 +4,9 @@ Images of basis vectors are assigned one at a time, most-constrained index
 first.  After every assignment the product constraints
 phi(e_i) ∘ phi(e_j) = Σ_k c_{ij}^k phi(e_k) are propagated: a constraint whose
 right side has exactly one unassigned image forces that image; contradictions
-prune.  Images are kept linearly independent via an incremental echelon
-stack, so complete assignments are isomorphisms.
+prune.  Images are kept linearly independent by eliminating each new image
+against the echelonized earlier ones, so complete assignments are
+isomorphisms.
 
 Over a prime field the search is exhaustive.  Over Q it enumerates vectors
 with entries from a small-height candidate set under a node budget, so a
@@ -44,31 +45,6 @@ def _candidate_vectors(a, q_entries):
     return [v for v in vecs if any(v)]
 
 
-class _Echelon:
-    """Stack of echelonized rows for incremental independence tests."""
-
-    def __init__(self, field):
-        self.field = field
-        self.rows = []    # (pivot_col, normalized row)
-
-    def try_push(self, vec):
-        f = self.field
-        v = list(vec)
-        for pivot, row in self.rows:
-            if v[pivot]:
-                c = v[pivot]
-                v = [f.sub(x, f.mul(c, y)) for x, y in zip(v, row)]
-        lead = next((i for i, x in enumerate(v) if x), None)
-        if lead is None:
-            return False
-        inv = f.inv(v[lead])
-        self.rows.append((lead, tuple(f.mul(inv, x) for x in v)))
-        return True
-
-    def pop(self, count):
-        del self.rows[len(self.rows) - count:]
-
-
 def find_isomorphisms(a, b, find_all=False, q_entries=QQ_ENTRIES,
                       node_budget=None):
     """Matrices (rows = images of a's basis) of isomorphisms a -> b.
@@ -86,7 +62,8 @@ def find_isomorphisms(a, b, find_all=False, q_entries=QQ_ENTRIES,
     candidates = _candidate_vectors(a, q_entries)
     results = []
     assigned = {}
-    echelon = _Echelon(f)
+    # images so far, echelonized row by row, for the independence test
+    rows, pivots = [], []
     nodes = [0]
 
     constraints = {}
@@ -108,8 +85,12 @@ def find_isomorphisms(a, b, find_all=False, q_entries=QQ_ENTRIES,
             cand_for[i] = square_zero
 
     def assign(k, vec, trail):
-        if not echelon.try_push(vec):
+        rest = linalg.reduce_vector(f, vec, rows, pivots)
+        lead = next((c for c, x in enumerate(rest) if x), None)
+        if lead is None:
             return False
+        rows.append(linalg.vec_scale(f, f.inv(rest[lead]), rest))
+        pivots.append(lead)
         assigned[k] = vec
         trail.append(k)
         return True
@@ -117,7 +98,8 @@ def find_isomorphisms(a, b, find_all=False, q_entries=QQ_ENTRIES,
     def undo(trail):
         for k in trail:
             del assigned[k]
-        echelon.pop(len(trail))
+        del rows[len(rows) - len(trail):]
+        del pivots[len(pivots) - len(trail):]
 
     def propagate(trail):
         changed = True

@@ -174,9 +174,6 @@ class Subspace:
     def contains(self, v):
         return not any(reduce_vector(self.field, v, self.rows, self.pivots))
 
-    def contains_subspace(self, other):
-        return all(self.contains(r) for r in other.rows)
-
     def reduce(self, v):
         return reduce_vector(self.field, v, self.rows, self.pivots)
 

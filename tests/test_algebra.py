@@ -5,6 +5,7 @@ import pytest
 
 from jordannil import linalg, tables
 from jordannil.algebra import Algebra, zero_algebra
+from jordannil.classify import classify_dim
 from jordannil.field import GF, QQ
 
 
@@ -60,47 +61,69 @@ def test_jordan_catalog_and_edge_cases(all_catalog_entries):
     assert idem.is_nilpotent() == (False, None)
 
 
+def _pointwise_jordan(a):
+    # reference: x² ∘ (x ∘ e_j) = x ∘ (x² ∘ e_j) at every vector x of F_pⁿ
+    for x in a.all_vectors():
+        xx = a.product(x, x)
+        for j in range(a.dim):
+            if a.product(xx, a.product_basis(x, j)) \
+                    != a.product(x, a.product_basis(xx, j)):
+                return False
+    return True
+
+
+def _generic_point_jordan(a):
+    # the polynomial identity at x = Σ λ_i e_i, every λ-coefficient equal
+    f = a.field
+    n = a.dim
+    x = {tuple(int(j == i) for j in range(n)): linalg.unit(f, n, i)
+         for i in range(n)}
+    xx = a._sym_product(x, x)
+    for j in range(n):
+        ej = {(0,) * n: linalg.unit(f, n, j)}
+        if a._sym_product(xx, a._sym_product(x, ej)) \
+                != a._sym_product(x, a._sym_product(xx, ej)):
+            return False
+    return True
+
+
 def test_jordan_strategies_agree_f5():
-    # linearization is equivalent to the pointwise identity when char ∤ 6
+    # over F_5 check_jordan uses the generic point; it must agree with the
+    # pointwise identity on every vector
     rnd = random.Random(9)
     f5 = GF(5)
-    for _ in range(60):
-        consts = {}
-        for i in range(1, 3):
-            for j in range(i, 3):
-                for k in range(1, 3):
-                    c = rnd.randrange(5) if rnd.random() < 0.5 else 0
-                    if c:
-                        consts[(i, j, k)] = c
-        a = Algebra(f5, 2, consts)
-        assert a._jordan_pointwise() == a._jordan_linearized()
-
-
-def test_jordan_pointwise_implies_linearized_f3():
-    # over F_3 only one direction holds; the pointwise reading is the
-    # definition and is what check_jordan uses
-    rnd = random.Random(10)
-    f3 = GF(3)
-    seen_jordan = 0
-    for _ in range(150):
-        consts = {}
-        for i in range(1, 3):
-            for j in range(i, 3):
-                for k in range(1, 3):
-                    c = rnd.randrange(3) if rnd.random() < 0.6 else 0
-                    if c:
-                        consts[(i, j, k)] = c
-        a = Algebra(f3, 2, consts)
-        if a._jordan_pointwise():
-            seen_jordan += 1
-            assert a._jordan_linearized()
-    assert seen_jordan > 5
+    verdicts = set()
+    for n in (2, 3):
+        for _ in range(40):
+            consts = {}
+            for i in range(1, n + 1):
+                for j in range(i, n + 1):
+                    for k in range(1, n + 1):
+                        c = rnd.randrange(5) if rnd.random() < 0.5 / n else 0
+                        if c:
+                            consts[(i, j, k)] = c
+            a = Algebra(f5, n, consts)
+            assert a.check_jordan() == _pointwise_jordan(a), a
+            verdicts.add(a.check_jordan())
+    assert verdicts == {True, False}
 
 
 def test_jordan_strategies_agree_on_catalog_over_f3():
     for entry in tables.catalog("closed"):
         a = entry.algebra(GF(3))
-        assert a._jordan_pointwise() and a._jordan_linearized()
+        assert a.check_jordan() and _generic_point_jordan(a), entry.entry_id
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_jordan_generic_point_agrees_on_classes(p):
+    # over F_2/F_3 the Jordan notion is pointwise; on every classified
+    # class up to dim 4 it agrees with the polynomial identity
+    memo = {}
+    for n in range(1, 5):
+        result = classify_dim(n, GF(p), memo)
+        for idx, a in enumerate(result.representatives):
+            assert a.check_jordan() == _generic_point_jordan(a), \
+                f"dim-{n} class #{idx + 1} over F_{p} disagrees: {a}"
 
 
 def test_associativity(catalog_algebra):

@@ -1,9 +1,10 @@
 import pytest
 
-from jordannil import homsearch, tables
+from jordannil import extension, homsearch, tables
 from jordannil.algebra import Algebra, zero_algebra
 from jordannil.classify import (InstanceTooLargeError, brute_force_classes,
-                                classify_dim, descendants, match_classes)
+                                classify_dim, descendants,
+                                descendants_with_reps, match_classes)
 from jordannil.field import GF, QQ
 
 
@@ -14,6 +15,28 @@ def test_descendants_examples():
     assert descendants(zero_algebra(f3, 1), 2) == []
     d = descendants(Algebra(f3, 2, {(1, 1, 2): 1}), 1)
     assert d == [Algebra(f3, 3, {(1, 1, 2): 1, (1, 2, 3): 1})]
+
+
+def test_descendants_build_each_extension_once(monkeypatch):
+    built = []
+    real = extension.central_extension
+
+    def counting(a, theta, validate=True):
+        built.append(theta)
+        return real(a, theta, validate)
+
+    monkeypatch.setattr(extension, "central_extension", counting)
+    a = zero_algebra(GF(3), 2)
+    out = descendants_with_reps(a, 1)
+    assert len(out) == len(built) == 2
+
+
+def test_descendants_raise_on_centre_lemma_violation(monkeypatch):
+    # the check is an explicit raise, so it holds under python -O as well
+    monkeypatch.setattr(extension, "centre_of_extension_decomposition",
+                        lambda a, theta, ext=None: (ext.centre(), False))
+    with pytest.raises(AssertionError, match="centre decomposition"):
+        descendants_with_reps(zero_algebra(GF(3), 1), 1)
 
 
 def test_classify_dim_counts(prime_field):

@@ -263,6 +263,7 @@ def _pointwise_cocycle_space(a):
 
 
 def test_cocycle_space_linearized_matches_pointwise_over_f5():
+    # over F_5 cocycle_space imposes the identity at the generic point
     rnd = random.Random(50)
     fld = GF(5)
     produced = 0
@@ -310,3 +311,6 @@ def test_form_parse_and_render():
         coh.parse_form_combo(QQ, 2, "S(1)")
     with pytest.raises(ValueError):
         coh.parse_form_combo(QQ, 2, "T(1,1)")
+    for bad in ("S(3,1)", "S(0,1)", "S(1,1)+S(2,3)"):
+        with pytest.raises(ValueError, match="out of range"):
+            coh.parse_form_combo(QQ, 2, bad)

@@ -163,6 +163,11 @@ def test_cli_cocycles_extend_orbits(tmp_path, capsys):
     j22 = write(tmp_path, "j22.alg", "field F 3\ndim 2\n1 1 : 2:1\n")
     code, out = run_cli(capsys, "extend", j22, "--theta", "S(2,2)")
     assert code == 2
+    for theta in ("S(3,1)", "S(0,1)"):
+        assert cli.main(["extend", j21, "--theta", theta]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: bad --theta: ")
     code, out = run_cli(capsys, "orbits", j21, "--r", "1")
     assert code == 0
     assert "allowable 9" in out and "orbits 2" in out
