@@ -63,7 +63,8 @@ def descendants_with_reps(a, r):
         return []
     aut = orbits.automorphism_group(a)
     out = []
-    for rep in orbits.orbit_representatives_from(a, h2, aut, r):
+    points = orbits.allowable_points(a, h2, r)
+    for rep in orbits.orbit_representatives_from(h2, aut, points):
         # lifts of H² coordinates lie in Z² by construction
         vec = extension.CocycleVector(a, orbits.point_forms(h2, rep),
                                       validate=False)

@@ -141,7 +141,7 @@ def cmd_orbits(args):
     else:
         aut = orbits.automorphism_group(a)
         allowable = orbits.allowable_points(a, h2, args.r)
-        reps = orbits.orbit_representatives_from(a, h2, aut, args.r)
+        reps = orbits.orbit_representatives_from(h2, aut, allowable)
 
     def rep_text(pt):
         forms = orbits.point_forms(h2, pt)

@@ -260,9 +260,6 @@ class H2Space:
     def field(self):
         return self.algebra.field
 
-    def span(self):
-        return FormSpace(self.field, self.algebra.dim, self.basis)
-
     def reduce(self, form):
         """Coordinates of form modulo δC¹ in the H² basis."""
         f = self.field

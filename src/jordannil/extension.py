@@ -103,17 +103,16 @@ def centre_of_extension_decomposition(a, theta, ext=None):
 
 
 def is_allowable(a, theta):
-    """Joint radical avoids Z(J) and the images in H² are independent."""
-    try:
-        vec = _coerce_vector(a, theta, validate=True)
-    except NotACocycleError:
-        return False
+    """θ ⊆ Z², its joint radical avoids Z(J), and its images in H² are
+    independent; `H2Space.reduce` rejects a form outside Z²."""
+    vec = _coerce_vector(a, theta, validate=False)
     if not vec.joint_radical().intersection(a.centre()).is_zero():
         return False
     h2 = cohomology.h2_space(a)
-    coords = []
-    for c in vec.components:
-        coords.append(h2.reduce(c))
+    try:
+        coords = [h2.reduce(c) for c in vec.components]
+    except ValueError:
+        return False
     return linalg.rank(a.field, coords) == vec.r
 
 

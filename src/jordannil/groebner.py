@@ -151,9 +151,6 @@ class Polynomial:
         lm = self.lead_monomial()
         return self.terms[lm] if lm is not None else self.ring.field.zero
 
-    def total_degree(self):
-        return max((sum(m) for m in self.terms), default=0)
-
     def monic(self):
         lc = self.lead_coeff()
         if not self.terms or lc == self.ring.field.one:
@@ -231,14 +228,6 @@ class Polynomial:
                     factor = factor * pow_cache[key]
             out = out + factor.mul_term(ring.field.one, tuple(residual))
         return out
-
-    def variables(self):
-        used = set()
-        for m in self.terms:
-            for i, e in enumerate(m):
-                if e:
-                    used.add(i)
-        return used
 
     def __eq__(self, other):
         return (isinstance(other, Polynomial) and self.ring == other.ring

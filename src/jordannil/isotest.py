@@ -36,9 +36,6 @@ class IsoVerdict:
     base_field_conclusive: bool = False
     detail: str = dc_field(default="")
 
-    def is_isomorphic_over_base(self):
-        return self.kind == ISOMORPHIC
-
 
 def prefilter(a, b):
     """Name of the first differing fingerprint invariant, or None."""

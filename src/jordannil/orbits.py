@@ -1,9 +1,11 @@
 """Automorphism groups and their orbits on subspaces of H².
 
 Points of the Grassmannian G_r(H²) are r × dim(H²) coordinate matrices in
-canonical RREF, so point equality is structural.  An automorphism phi acts on
-H² coordinates through pull-back followed by reduction modulo δC¹; the orbit
-of a point under the full (finite) group is obtained in a single pass.
+canonical RREF, so point equality is structural.  The action of Aut(J) on H²
+is linear, so an automorphism φ moves a point to the span of the pull-backs
+φθ of the r forms θ spanning it, reduced modulo δC¹.  The orbit of a point
+is obtained in one pass over the (finite) group, acting only on its own
+forms.
 """
 
 from itertools import combinations, product as iproduct
@@ -92,21 +94,6 @@ def grassmannian_points(h2_dim, r, field):
             yield SubspacePoint(mat)
 
 
-def h2_action_matrix(h2, phi):
-    """Matrix of the action of phi on H² coordinates (rows = basis images)."""
-    rows = []
-    for b in h2.basis:
-        pulled = cohomology.pull_back(phi, b)
-        rows.append(h2.reduce(pulled))
-    return tuple(rows)
-
-
-def act_on_h2(h2, phi, coords):
-    """Image of an H²-coordinate row vector under phi."""
-    m = h2_action_matrix(h2, phi)
-    return linalg.vec_mat(h2.field, coords, m)
-
-
 def _canonical_point(field, rows):
     red, _ = linalg.rref(field, rows)
     return SubspacePoint(red)
@@ -135,34 +122,23 @@ def allowable_points(a, h2, r):
             if _is_allowable_point(a, h2, pt)]
 
 
-def _action_matrices(h2, aut):
-    return sorted({h2_action_matrix(h2, phi) for phi in aut})
-
-
-def _orbit(field, action_mats, pt):
-    orbit = set()
-    for m in action_mats:
-        rows = [linalg.vec_mat(field, row, m) for row in pt.coords]
-        orbit.add(_canonical_point(field, rows))
-    return orbit
-
-
 def orbit_of_point(h2, aut, pt):
-    """Full orbit of a point under the automorphism group (single pass)."""
-    return _orbit(h2.field, _action_matrices(h2, aut), pt)
+    """Aut(J)-orbit of a point: φ sends the span of its forms to the span of
+    their pull-backs, so each φ costs r pull-backs and one RREF."""
+    forms = point_forms(h2, pt)
+    return {_canonical_point(h2.field, [h2.reduce(cohomology.pull_back(phi, b))
+                                        for b in forms])
+            for phi in aut}
 
 
-def orbit_representatives_from(a, h2, aut, r):
-    """Orbit representatives with precomputed H² data and Aut group."""
-    if r > h2.dim:
-        return []
-    action_mats = _action_matrices(h2, aut)
+def orbit_representatives_from(h2, aut, points):
+    """Least point of each Aut-orbit meeting points (an Aut-stable set)."""
     reps = []
     visited = set()
-    for pt in allowable_points(a, h2, r):
+    for pt in points:
         if pt in visited:
             continue
-        orbit = _orbit(a.field, action_mats, pt)
+        orbit = orbit_of_point(h2, aut, pt)
         visited |= orbit
         reps.append(min(orbit, key=_point_key))
     return sorted(reps, key=_point_key)
@@ -174,4 +150,4 @@ def orbit_representatives(a, r):
     if r > h2.dim:
         return []
     aut = automorphism_group(a)
-    return orbit_representatives_from(a, h2, aut, r)
+    return orbit_representatives_from(h2, aut, allowable_points(a, h2, r))

@@ -134,7 +134,8 @@ def test_criterion_5_centre_lemma():
         h2 = coh.h2_space(a)
         aut = orbits.automorphism_group(a)
         for r in range(1, 5 - a.dim):
-            for rep in orbits.orbit_representatives_from(a, h2, aut, r):
+            points = orbits.allowable_points(a, h2, r)
+            for rep in orbits.orbit_representatives_from(h2, aut, points):
                 forms = orbits.point_forms(h2, rep)
                 vec = ext.CocycleVector(a, forms)
                 _, flag = ext.centre_of_extension_decomposition(a, vec)

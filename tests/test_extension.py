@@ -108,6 +108,25 @@ def test_is_allowable_examples():
     assert is_allowable(j21, [dual_form(QQ, 2, 1, 1), dual_form(QQ, 2, 2, 1)])
     assert not is_allowable(
         j21, [dual_form(QQ, 2, 1, 1), zero_form(QQ, 2)])
+    # S(2,2) is not a cocycle on J_{2,2}, though its radical misses the centre
+    j22 = Algebra(QQ, 2, {(1, 1, 2): 1})
+    assert not is_allowable(j22, dual_form(QQ, 2, 2, 2))
+
+
+def test_is_allowable_computes_z2_once(monkeypatch):
+    calls = []
+    original = coh.cocycle_space
+
+    def counting(a):
+        calls.append(a)
+        return original(a)
+
+    monkeypatch.setattr(coh, "cocycle_space", counting)
+    monkeypatch.setattr(ext, "cocycle_space", counting)
+    f3 = GF(3)
+    theta = dual_form(f3, 2, 1, 1).add(dual_form(f3, 2, 2, 2))
+    assert is_allowable(zero_algebra(f3, 2), theta)
+    assert len(calls) == 1
 
 
 def test_cohomologous_extensions_isomorphic():

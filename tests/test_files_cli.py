@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from jordannil import cli, tables
+from jordannil import cli, orbits, tables
 from jordannil.algebra import Algebra
 from jordannil.field import GF, QQ
 from jordannil.files import AlgebraFileError, parse_algebra_file, render_algebra
@@ -171,6 +171,22 @@ def test_cli_cocycles_extend_orbits(tmp_path, capsys):
     code, out = run_cli(capsys, "orbits", j21, "--r", "1")
     assert code == 0
     assert "allowable 9" in out and "orbits 2" in out
+
+
+def test_cli_orbits_enumerates_allowable_points_once(tmp_path, capsys,
+                                                     monkeypatch):
+    calls = []
+    original = orbits.allowable_points
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(orbits, "allowable_points", counting)
+    j21 = write(tmp_path, "j21.alg", "field F 3\ndim 2\n")
+    code, out = run_cli(capsys, "orbits", j21, "--r", "1")
+    assert code == 0 and "orbits 2" in out
+    assert len(calls) == 1
 
 
 def test_cli_gb(tmp_path, capsys):

@@ -7,10 +7,15 @@ from jordannil import cohomology as coh
 from jordannil import linalg
 from jordannil.algebra import Algebra, is_isomorphism, zero_algebra
 from jordannil.field import GF, QQ, UnsupportedFieldError
-from jordannil.orbits import (allowable_points, act_on_h2, automorphism_group,
-                              grassmannian_points, h2_action_matrix,
+from jordannil.orbits import (SubspacePoint, allowable_points,
+                              automorphism_group, grassmannian_points,
                               orbit_of_point, orbit_representatives,
                               point_forms)
+
+
+def act_on_h2(h2, phi, coords):
+    """Image of H² coordinates under phi: the pull-back of their lift."""
+    return h2.reduce(coh.pull_back(phi, h2.lift(coords)))
 
 
 def test_aut_group_sizes():
@@ -165,6 +170,36 @@ def test_orbits_partition_allowable_points():
     assert union == allowable and total == len(allowable)
 
 
+def _reference_orbits(h2, aut, points):
+    # the full dim H² × dim H² action matrix of each phi, applied to the rows
+    f = h2.field
+    mats = [[h2.reduce(coh.pull_back(phi, b)) for b in h2.basis]
+            for phi in aut]
+    return {pt: {SubspacePoint(linalg.rref(
+                     f, [linalg.vec_mat(f, row, m) for row in pt.coords])[0])
+                 for m in mats}
+            for pt in points}
+
+
+@pytest.mark.parametrize("a, r", [
+    (zero_algebra(GF(3), 2), 1),
+    (zero_algebra(GF(3), 2), 2),
+    (Algebra(GF(3), 2, {(1, 1, 2): 1}), 1),
+    (zero_algebra(GF(2), 3), 1),
+    (Algebra(GF(2), 3, {(1, 1, 2): 1}), 1),   # dim H² = 4
+    (Algebra(GF(2), 3, {(1, 1, 2): 1}), 2),
+], ids=["zero2-F3-r1", "zero2-F3-r2", "J22-F3-r1", "zero3-F2-r1",
+        "J32-F2-r1", "J32-F2-r2"])
+def test_orbit_of_point_matches_action_matrices(a, r):
+    h2 = coh.h2_space(a)
+    aut = automorphism_group(a)
+    points = allowable_points(a, h2, r)
+    assert points
+    expected = _reference_orbits(h2, aut, points)
+    for pt in points:
+        assert orbit_of_point(h2, aut, pt) == expected[pt]
+
+
 def test_allowable_stable_under_aut_random():
     rnd = random.Random(14)
     f2 = GF(2)
@@ -174,8 +209,7 @@ def test_allowable_stable_under_aut_random():
     pts = allowable_points(j21, h2, 1)
     for pt in pts:
         phi = aut[rnd.randrange(len(aut))]
-        m = h2_action_matrix(h2, phi)
-        moved = [linalg.vec_mat(f2, row, m) for row in pt.coords]
+        moved = [act_on_h2(h2, phi, row) for row in pt.coords]
         red, _ = linalg.rref(f2, moved)
         forms = [h2.lift(r) for r in red]
         rad = coh.radical(list(forms))
