@@ -312,6 +312,9 @@ def cmd_catalog(args):
                   f"{'associative' if e.is_associative else 'not associative'}"
                   f"  {a!r}")
         return 0
+    if not catalog_mod.catalog(args.case, args.dim):
+        raise InputError(f"no catalog entries for --case {args.case}"
+                         f" --dim {args.dim}")
     report = catalog_mod.catalog_verify(args.case, args.dim, jobs=args.jobs)
     if args.json:
         _emit_json({

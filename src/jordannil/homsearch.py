@@ -8,9 +8,20 @@ prune.  Images are kept linearly independent by eliminating each new image
 against the echelonized earlier ones, so complete assignments are
 isomorphisms.
 
-Over a prime field the search is exhaustive.  Over Q it enumerates vectors
-with entries from a small-height candidate set under a node budget, so a
-"not found" answer is only heuristic there.
+Over a prime field the search is exhaustive, and the candidate images of the
+next index i are the solutions of the constraints already linear in
+x = phi(e_i): every e_i ∘ e_j = Σ_k c_k e_k with phi(e_j) and each phi(e_k),
+k ≠ i, assigned gives x ∘ phi(e_j) - c_i x = Σ_{k≠i} c_k phi(e_k).  The
+stacked system is solved once per node and its solutions are visited in
+lexicographic order, which is the order of the full candidate list of F_p^n
+restricted to the images that propagation would not reject; so the search
+returns the same witnesses and automorphism lists as a scan of F_p^n.  Over Q
+it enumerates vectors with entries from a small-height candidate set under a
+node budget, so a "not found" answer is only heuristic there.
+
+`find_witness` searches from the side with fewer nonzero structure constants
+and inverts the witness if that is b: the fewer constraints the source has,
+the fewer images its search needs to try before they force the rest.
 """
 
 from itertools import product as iproduct
@@ -43,6 +54,28 @@ def _candidate_vectors(a, q_entries):
         entries = [f.of(e) for e in q_entries]
         vecs = [tuple(v) for v in iproduct(entries, repeat=a.dim)]
     return [v for v in vecs if any(v)]
+
+
+def _solutions(p, n, red, pivots):
+    """Solutions of an RREF system over F_p in lexicographic order.
+
+    Column c of `red` is the coefficient of x_{n-1-c} and column n the right
+    side.  With the unknowns reversed each pivot unknown depends only on free
+    unknowns of lower index, so counting the free unknowns up in order
+    counts the solutions up in lexicographic order.
+    """
+    pivot_vars = [n - 1 - c for c in pivots]
+    free = [v for v in range(n) if v not in pivot_vars]
+    for values in iproduct(range(p), repeat=len(free)):
+        x = [0] * n
+        for v, t in zip(free, values):
+            x[v] = t
+        for row, v in zip(red, pivot_vars):
+            s = row[n]
+            for u in free:
+                s -= row[n - 1 - u] * x[u]
+            x[v] = s % p
+        yield tuple(x)
 
 
 def find_isomorphisms(a, b, find_all=False, q_entries=QQ_ENTRIES,
@@ -100,6 +133,38 @@ def find_isomorphisms(a, b, find_all=False, q_entries=QQ_ENTRIES,
             del assigned[k]
         del rows[len(rows) - len(trail):]
         del pivots[len(pivots) - len(trail):]
+
+    def linear_candidates(i):
+        # for each product constraint linear in x = phi(e_i), the n
+        # equations of x ∘ phi(e_j) - c_i x = Σ_{k≠i} c_k phi(e_k), unknowns
+        # reversed (see _solutions) and the right side last
+        system = []
+        for j, w in assigned.items():
+            terms = constraints[(min(i, j), max(i, j))]
+            if any(k != i and k not in assigned for k, _ in terms):
+                continue
+            c_i = f.zero
+            rhs = [f.zero] * n
+            for k, c in terms:
+                if k == i:
+                    c_i = c
+                else:
+                    rhs = linalg.vec_add(
+                        f, rhs, linalg.vec_scale(f, c, assigned[k]))
+            cols = [b.product_basis(w, r) for r in reversed(range(n))]
+            for s in range(n):
+                row = [col[s] for col in cols]
+                row[n - 1 - s] = f.sub(row[n - 1 - s], c_i)
+                row.append(rhs[s])
+                system.append(row)
+        red, red_pivots = linalg.rref(f, system)
+        if red_pivots and red_pivots[-1] == n:
+            return []                    # inconsistent: prune the node
+        if not red:
+            return cand_for[i]
+        squares_to_zero = not constraints[(i, i)]
+        return (x for x in _solutions(f.p, n, red, red_pivots) if any(x)
+                and not (squares_to_zero and any(b.product(x, x))))
 
     def propagate(trail):
         changed = True
@@ -161,7 +226,8 @@ def find_isomorphisms(a, b, find_all=False, q_entries=QQ_ENTRIES,
         if i is None:
             results.append(tuple(assigned[k] for k in range(n)))
             return not find_all
-        for vec in cand_for[i]:
+        for vec in (linear_candidates(i) if f.is_prime_field
+                    else cand_for[i]):
             nodes[0] += 1
             if node_budget is not None and nodes[0] > node_budget:
                 raise SearchBudgetExceeded()
@@ -183,7 +249,15 @@ def find_isomorphisms(a, b, find_all=False, q_entries=QQ_ENTRIES,
 
 
 def find_witness(a, b, q_entries=QQ_ENTRIES, node_budget=None):
-    """First isomorphism witness or None."""
-    found = find_isomorphisms(a, b, find_all=False, q_entries=q_entries,
-                              node_budget=node_budget)
-    return found[0] if found else None
+    """An isomorphism a -> b (rows = images of a's basis) or None.
+
+    The search runs from the side with fewer nonzero structure constants, a
+    on a tie; a witness b -> a is returned inverted.
+    """
+    swap = len(b.constants) < len(a.constants)
+    source, target = (b, a) if swap else (a, b)
+    found = find_isomorphisms(source, target, find_all=False,
+                              q_entries=q_entries, node_budget=node_budget)
+    if not found:
+        return None
+    return linalg.invert(a.field, found[0]) if swap else found[0]

@@ -83,7 +83,7 @@ def rref(field, rows):
         r += 1
         if r == len(work):
             break
-    return tuple(tuple(row) for row in work[:r]), tuple(pivots)
+    return tuple([tuple(row) for row in work[:r]]), tuple(pivots)
 
 
 def rank(field, rows):

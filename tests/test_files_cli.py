@@ -219,6 +219,15 @@ def test_cli_catalog(capsys):
     assert "OK" in out
 
 
+def test_cli_catalog_verify_empty_selection_exits_2(capsys):
+    for extra in ([], ["--json"]):
+        assert cli.main(["catalog", "verify", "--case", "char2", "--dim", "4",
+                         *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: no catalog entries")
+
+
 def test_cli_invariants_json(tmp_path, capsys):
     path = entry_file(tmp_path, "closed", "J_{4,6}")
     code, out = run_cli(capsys, "invariants", path, "--json")

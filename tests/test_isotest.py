@@ -168,6 +168,7 @@ def test_noniso_pairs_have_no_witness_over_small_primes(catalog_algebra):
         for p in (3, 5, 7):
             a, b = c1.algebra(GF(p)), c2.algebra(GF(p))
             assert homsearch.find_witness(a, b) is None
+            assert homsearch.find_witness(b, a) is None
 
 
 def test_decide_rejects_field_mismatch():
