@@ -33,6 +33,16 @@ def _read_algebra(path):
         raise InputError(f"{path}: {exc}") from exc
 
 
+def _read_nilpotent_jordan(path):
+    """An algebra file the construction applies to: Jordan and nilpotent."""
+    a = _read_algebra(path)
+    if not a.check_jordan():
+        raise InputError(f"{path}: not a Jordan algebra")
+    if not a.is_nilpotent()[0]:
+        raise InputError(f"{path}: not nilpotent")
+    return a
+
+
 def _parse_field(spec):
     if spec == "Q":
         return QQ
@@ -87,7 +97,7 @@ def cmd_invariants(args):
 
 
 def cmd_cocycles(args):
-    a = _read_algebra(args.file)
+    a = _read_nilpotent_jordan(args.file)
     h2 = cohomology.h2_space(a)
     if args.json:
         _emit_json({
@@ -110,7 +120,7 @@ def cmd_cocycles(args):
 
 
 def cmd_extend(args):
-    a = _read_algebra(args.file)
+    a = _read_nilpotent_jordan(args.file)
     comps = []
     for part in args.theta.split(";"):
         part = part.strip()
@@ -129,7 +139,7 @@ def cmd_extend(args):
 
 
 def cmd_orbits(args):
-    a = _read_algebra(args.file)
+    a = _read_nilpotent_jordan(args.file)
     if not a.field.is_prime_field:
         raise InputError("orbit enumeration needs a prime field")
     if args.r < 1:

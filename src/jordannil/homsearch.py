@@ -22,6 +22,15 @@ node budget, so a "not found" answer is only heuristic there.
 `find_witness` searches from the side with fewer nonzero structure constants
 and inverts the witness if that is b: the fewer constraints the source has,
 the fewer images its search needs to try before they force the rest.
+
+`stabiliser_chain` runs the same search from a to a as Sims' subgroup search
+with coset pruning (Holt, Eick and O'Brien, Handbook of Computational Group
+Theory, ch. 4).  Which index the search branches on, and which images
+propagation forces, depend only on which indices are assigned, so the
+branching indices of the identity path form a base of Aut(a).  Per base
+point it searches one automorphism for each candidate image outside the
+basic orbit known so far, so Aut(a) comes out as generators and basic orbit
+lengths, and its elements are never listed.
 """
 
 from itertools import product as iproduct
@@ -78,66 +87,91 @@ def _solutions(p, n, red, pivots):
         yield tuple(x)
 
 
-def find_isomorphisms(a, b, find_all=False, q_entries=QQ_ENTRIES,
-                      node_budget=None):
-    """Matrices (rows = images of a's basis) of isomorphisms a -> b.
+class _Search:
+    """Backtracking state of a search for isomorphisms a -> b.
 
-    Returns a list; with find_all=False it holds at most one witness.
-    Raises SearchBudgetExceeded if the node budget runs out.
+    `assigned` maps indices of a's basis to their images in b; `rows` and
+    `pivots` hold those images echelonized, for the independence test.
+    Every step that extends the assignment records the indices it assigned
+    in a trail, and `undo(trail)` takes them back.  `dfs` leaves the state
+    as it found it, hit or not, so a caller can search several subtrees of
+    one node in turn.
     """
-    if a.field != b.field or a.dim != b.dim:
-        return []
-    f = a.field
-    n = a.dim
-    if n == 0:
-        return [()]
-    order = _assignment_order(a)
-    candidates = _candidate_vectors(a, q_entries)
-    results = []
-    assigned = {}
-    # images so far, echelonized row by row, for the independence test
-    rows, pivots = [], []
-    nodes = [0]
 
-    constraints = {}
-    for i in range(n):
-        for j in range(i, n):
-            constraints[(i, j)] = [(k, c) for k, c in enumerate(a.table[i][j]) if c]
+    def __init__(self, a, b, find_all, q_entries, node_budget):
+        f = a.field
+        n = a.dim
+        self.b, self.f, self.n = b, f, n
+        self.find_all = find_all
+        self.node_budget = node_budget
+        self.order = _assignment_order(a)
+        self.results = []
+        self.assigned = {}
+        self.rows, self.pivots = [], []
+        self.nodes = 0
 
-    # indices with e_i ∘ e_i = 0 can only map to square-zero vectors of b;
-    # filtering once keeps deep branches from rescanning the whole space
-    square_zero = None
-    cand_for = {}
-    for i in range(n):
-        if constraints[(i, i)]:
-            cand_for[i] = candidates
-        else:
-            if square_zero is None:
-                square_zero = [v for v in candidates
-                               if not any(b.product(v, v))]
-            cand_for[i] = square_zero
+        constraints = {}
+        for i in range(n):
+            for j in range(i, n):
+                constraints[(i, j)] = [(k, c) for k, c
+                                       in enumerate(a.table[i][j]) if c]
+        self.constraints = constraints
 
-    def assign(k, vec, trail):
-        rest = linalg.reduce_vector(f, vec, rows, pivots)
+        # indices with e_i ∘ e_i = 0 can only map to square-zero vectors of
+        # b; filtering once keeps deep branches from rescanning the space
+        candidates = _candidate_vectors(a, q_entries)
+        square_zero = None
+        cand_for = {}
+        for i in range(n):
+            if constraints[(i, i)]:
+                cand_for[i] = candidates
+            else:
+                if square_zero is None:
+                    square_zero = [v for v in candidates
+                                   if not any(b.product(v, v))]
+                cand_for[i] = square_zero
+        self.cand_for = cand_for
+
+    def assign(self, k, vec, trail):
+        f = self.f
+        rest = linalg.reduce_vector(f, vec, self.rows, self.pivots)
         lead = next((c for c, x in enumerate(rest) if x), None)
         if lead is None:
             return False
-        rows.append(linalg.vec_scale(f, f.inv(rest[lead]), rest))
-        pivots.append(lead)
-        assigned[k] = vec
+        self.rows.append(linalg.vec_scale(f, f.inv(rest[lead]), rest))
+        self.pivots.append(lead)
+        self.assigned[k] = vec
         trail.append(k)
         return True
 
-    def undo(trail):
+    def undo(self, trail):
+        assigned = self.assigned
         for k in trail:
             del assigned[k]
-        del rows[len(rows) - len(trail):]
-        del pivots[len(pivots) - len(trail):]
+        del self.rows[len(self.rows) - len(trail):]
+        del self.pivots[len(self.pivots) - len(trail):]
 
-    def linear_candidates(i):
+    def extend(self, i, vec):
+        """Assign vec to e_i and propagate: the trail, or None (state
+        unchanged) on a contradiction."""
+        trail = []
+        if self.assign(i, vec, trail) and self.propagate(trail):
+            return trail
+        self.undo(trail)
+        return None
+
+    def candidates(self, i):
+        if self.f.is_prime_field:
+            return self.linear_candidates(i)
+        return self.cand_for[i]
+
+    def linear_candidates(self, i):
         # for each product constraint linear in x = phi(e_i), the n
         # equations of x ∘ phi(e_j) - c_i x = Σ_{k≠i} c_k phi(e_k), unknowns
         # reversed (see _solutions) and the right side last
+        f, b, n = self.f, self.b, self.n
+        assigned = self.assigned
+        constraints = self.constraints
         system = []
         for j, w in assigned.items():
             terms = constraints[(min(i, j), max(i, j))]
@@ -161,16 +195,18 @@ def find_isomorphisms(a, b, find_all=False, q_entries=QQ_ENTRIES,
         if red_pivots and red_pivots[-1] == n:
             return []                    # inconsistent: prune the node
         if not red:
-            return cand_for[i]
+            return self.cand_for[i]
         squares_to_zero = not constraints[(i, i)]
         return (x for x in _solutions(f.p, n, red, red_pivots) if any(x)
                 and not (squares_to_zero and any(b.product(x, x))))
 
-    def propagate(trail):
+    def propagate(self, trail):
+        f, b, n = self.f, self.b, self.n
+        assigned = self.assigned
         changed = True
         while changed:
             changed = False
-            for (i, j), terms in constraints.items():
+            for (i, j), terms in self.constraints.items():
                 if i not in assigned or j not in assigned:
                     continue
                 w = b.product(assigned[i], assigned[j])
@@ -189,21 +225,23 @@ def find_isomorphisms(a, b, find_all=False, q_entries=QQ_ENTRIES,
                     k, c = unknown[0]
                     img = linalg.vec_scale(
                         f, f.inv(c), linalg.vec_sub(f, w, known))
-                    if not assign(k, img, trail):
+                    if not self.assign(k, img, trail):
                         return False
                     changed = True
         return True
 
-    def next_index():
+    def next_index(self):
         # fail-first: prefer the index whose assignment yields the most
-        # immediate product checks, then the most forced images
+        # immediate product checks, then the most forced images.  The
+        # choice depends only on which indices are assigned.
+        assigned = self.assigned
         best_score = None
         best = None
-        for i in order:
+        for i in self.order:
             if i in assigned:
                 continue
             checks = forces = 0
-            for (u, v), terms in constraints.items():
+            for (u, v), terms in self.constraints.items():
                 if u != i and v != i:
                     continue
                 partner = v if u == i else u
@@ -221,31 +259,99 @@ def find_isomorphisms(a, b, find_all=False, q_entries=QQ_ENTRIES,
                 best = i
         return best
 
-    def dfs():
-        i = next_index()
+    def dfs(self):
+        """Search the subtree of the current node; True once a hit ends it."""
+        i = self.next_index()
         if i is None:
-            results.append(tuple(assigned[k] for k in range(n)))
-            return not find_all
-        for vec in (linear_candidates(i) if f.is_prime_field
-                    else cand_for[i]):
-            nodes[0] += 1
-            if node_budget is not None and nodes[0] > node_budget:
+            self.results.append(tuple(self.assigned[k] for k in range(self.n)))
+            return not self.find_all
+        for vec in self.candidates(i):
+            self.nodes += 1
+            if self.node_budget is not None and self.nodes > self.node_budget:
                 raise SearchBudgetExceeded()
-            trail = []
-            if not assign(i, vec, trail):
-                undo(trail)
-                continue
-            if propagate(trail) and dfs():
+            if self.dfs_below(i, vec):
                 return True
-            undo(trail)
         return False
 
+    def dfs_below(self, i, vec):
+        """Search the subtree of the child node e_i -> vec."""
+        trail = self.extend(i, vec)
+        if trail is None:
+            return False
+        hit = self.dfs()
+        self.undo(trail)
+        return hit
+
+
+def find_isomorphisms(a, b, find_all=False, q_entries=QQ_ENTRIES,
+                      node_budget=None):
+    """Matrices (rows = images of a's basis) of isomorphisms a -> b.
+
+    Returns a list; with find_all=False it holds at most one witness.
+    Raises SearchBudgetExceeded if the node budget runs out.
+    """
+    if a.field != b.field or a.dim != b.dim:
+        return []
+    f = a.field
+    n = a.dim
+    if n == 0:
+        return [()]
     if not find_all and is_isomorphism(a, b, linalg.identity(f, n)):
         return [linalg.identity(f, n)]
-    dfs()
+    search = _Search(a, b, find_all, q_entries, node_budget)
+    search.dfs()
     if not find_all:
-        return results[:1]
-    return sorted(set(results))
+        return search.results[:1]
+    return sorted(set(search.results))
+
+
+def _basic_orbit(f, vec, generators):
+    """Orbit of a row vector under the group the matrices generate."""
+    orbit = {vec}
+    queue = [vec]
+    for v in queue:
+        for g in generators:
+            w = linalg.vec_mat(f, v, g)
+            if w not in orbit:
+                orbit.add(w)
+                queue.append(w)
+    return orbit
+
+
+def stabiliser_chain(a):
+    """Generators of Aut(a) over F_p and the basic orbit lengths of a chain.
+
+    The base is the sequence of indices the search branches on along the
+    identity path (forced images follow from the base images).  The levels
+    are completed from the deepest up; at level l the earlier base vectors
+    are fixed.  A candidate image of the level's base vector e_i that lies
+    outside the orbit Δ of e_i under the generators found so far is
+    searched for one automorphism, which becomes a generator.  Every image
+    of e_i under the level's stabiliser is a candidate, so at the end Δ is
+    its basic orbit, the generators found generate the stabiliser, and
+    |Aut(a)| is the product of the orbit lengths.
+    """
+    f, n = a.field, a.dim
+    ident = linalg.identity(f, n)
+    search = _Search(a, a, False, QQ_ENTRIES, None)
+    base = []                            # (index, trail) per level
+    i = search.next_index()
+    while i is not None:
+        trail = search.extend(i, ident[i])
+        if trail is None:
+            raise RuntimeError("the identity failed the automorphism search")
+        base.append((i, trail))
+        i = search.next_index()
+    generators, lengths = [], []
+    for i, trail in reversed(base):
+        search.undo(trail)
+        delta = _basic_orbit(f, ident[i], generators)
+        for vec in search.candidates(i):
+            if vec not in delta and search.dfs_below(i, vec):
+                generators.append(search.results.pop())
+                delta = _basic_orbit(f, ident[i], generators)
+        lengths.append(len(delta))
+    return generators, lengths[::-1]
 
 
 def find_witness(a, b, q_entries=QQ_ENTRIES, node_budget=None):

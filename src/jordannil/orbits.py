@@ -1,48 +1,48 @@
 """Automorphism groups and their orbits on subspaces of H².
 
+Aut(J) is kept as a stabiliser chain (`homsearch.stabiliser_chain`): a few
+generators and the basic orbit lengths, whose product is |Aut(J)|.  No list
+of its elements is built.
+
 Points of the Grassmannian G_r(H²) are r × dim(H²) coordinate matrices in
 canonical RREF, so point equality is structural.  The action of Aut(J) on H²
 is linear, so an automorphism φ moves a point to the span of the pull-backs
 φθ of the r forms θ spanning it, reduced modulo δC¹.  The orbit of a point
-is obtained in one pass over the (finite) group, acting only on its own
-forms.
+is the closure of the point under the generators, found breadth first.
 """
 
 from itertools import combinations, product as iproduct
+from math import prod
 
 from . import cohomology, linalg
+from .algebra import is_isomorphism
 from .field import UnsupportedFieldError
-from .homsearch import find_isomorphisms
+from .homsearch import stabiliser_chain
 
 
 class AutGroup:
-    """The full automorphism group of an algebra over a prime field."""
+    """The automorphism group of an algebra over a prime field, as the
+    generators and basic orbit lengths of a stabiliser chain."""
 
-    __slots__ = ("algebra", "elements", "_members")
+    __slots__ = ("algebra", "generators", "orbit_lengths")
 
-    def __init__(self, algebra, elements):
+    def __init__(self, algebra, generators, orbit_lengths):
         self.algebra = algebra
-        self.elements = tuple(elements)
-        self._members = None
+        self.generators = tuple(generators)
+        self.orbit_lengths = tuple(orbit_lengths)
 
     def __len__(self):
-        return len(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
+        return prod(self.orbit_lengths)
 
     def __contains__(self, m):
-        if self._members is None:
-            self._members = frozenset(self.elements)
-        return tuple(tuple(r) for r in m) in self._members
+        return is_isomorphism(self.algebra, self.algebra, m)
 
 
 def automorphism_group(a):
-    """Enumerate Aut(J) by backtracking over basis images."""
+    """Aut(J) by Sims' subgroup search over the basis images."""
     if not a.field.is_prime_field:
-        raise UnsupportedFieldError("Aut(J) over Q is not a finite list")
-    mats = find_isomorphisms(a, a, find_all=True)
-    return AutGroup(a, mats)
+        raise UnsupportedFieldError("Aut(J) needs a prime field")
+    return AutGroup(a, *stabiliser_chain(a))
 
 
 class SubspacePoint:
@@ -123,12 +123,19 @@ def allowable_points(a, h2, r):
 
 
 def orbit_of_point(h2, aut, pt):
-    """Aut(J)-orbit of a point: φ sends the span of its forms to the span of
-    their pull-backs, so each φ costs r pull-backs and one RREF."""
-    forms = point_forms(h2, pt)
-    return {_canonical_point(h2.field, [h2.reduce(cohomology.pull_back(phi, b))
-                                        for b in forms])
-            for phi in aut}
+    """Aut(J)-orbit of a point, breadth first over the generators: each
+    point reached costs r pull-backs and one RREF per generator."""
+    orbit = {pt}
+    queue = [pt]
+    for cur in queue:
+        forms = point_forms(h2, cur)
+        for g in aut.generators:
+            img = _canonical_point(h2.field, [
+                h2.reduce(cohomology.pull_back(g, b)) for b in forms])
+            if img not in orbit:
+                orbit.add(img)
+                queue.append(img)
+    return orbit
 
 
 def orbit_representatives_from(h2, aut, points):

@@ -173,6 +173,24 @@ def test_cli_cocycles_extend_orbits(tmp_path, capsys):
     assert "allowable 9" in out and "orbits 2" in out
 
 
+@pytest.mark.parametrize("verb_args", [
+    ["cocycles"], ["cocycles", "--json"], ["extend", "--theta", "S(1,1)"],
+    ["orbits", "--r", "1"], ["orbits", "--r", "1", "--json"],
+], ids=["cocycles", "cocycles-json", "extend", "orbits", "orbits-json"])
+@pytest.mark.parametrize("table, reason", [
+    ("field F 3\ndim 3\n1 1 : 2:1\n2 2 : 3:1\n", "not a Jordan algebra"),
+    ("field F 3\ndim 2\n1 1 : 1:1\n", "not nilpotent"),
+    ("field F 3\ndim 3\n1 1 : 1:1\n1 2 : 3:1\n", "not a Jordan algebra"),
+], ids=["nilpotent-not-jordan", "jordan-not-nilpotent", "neither"])
+def test_cli_construction_verbs_reject_bad_input(tmp_path, capsys, verb_args,
+                                                table, reason):
+    path = write(tmp_path, "bad.alg", table)
+    assert cli.main([verb_args[0], path, *verb_args[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: {reason}\n"
+
+
 def test_cli_orbits_enumerates_allowable_points_once(tmp_path, capsys,
                                                      monkeypatch):
     calls = []

@@ -1,12 +1,15 @@
 import random
 from itertools import product as iproduct
+from math import prod
 
 import pytest
 
 from jordannil import cohomology as coh
 from jordannil import linalg
 from jordannil.algebra import Algebra, is_isomorphism, zero_algebra
+from jordannil.classify import classify_dim
 from jordannil.field import GF, QQ, UnsupportedFieldError
+from jordannil.homsearch import find_isomorphisms
 from jordannil.orbits import (SubspacePoint, allowable_points,
                               automorphism_group, grassmannian_points,
                               orbit_of_point, orbit_representatives,
@@ -16,6 +19,15 @@ from jordannil.orbits import (SubspacePoint, allowable_points,
 def act_on_h2(h2, phi, coords):
     """Image of H² coordinates under phi: the pull-back of their lift."""
     return h2.reduce(coh.pull_back(phi, h2.lift(coords)))
+
+
+def aut_elements(a):
+    """Every automorphism of a, by exhaustive backtracking."""
+    return find_isomorphisms(a, a, find_all=True)
+
+
+def gl_order(n, p):
+    return prod(p ** n - p ** k for k in range(n))
 
 
 def test_aut_group_sizes():
@@ -33,7 +45,10 @@ def test_aut_group_matches_exhaustive_gl_scan():
         m = (flat[:2], flat[2:])
         if linalg.invert(f3, m) is not None and is_isomorphism(j22, j22, m):
             brute.add(m)
-    assert set(automorphism_group(j22).elements) == brute
+    assert set(aut_elements(j22)) == brute
+    aut = automorphism_group(j22)
+    assert len(aut) == len(brute)
+    assert all(m in aut for m in brute)
 
 
 def test_aut_contains_identity_and_preserves_products():
@@ -41,8 +56,32 @@ def test_aut_contains_identity_and_preserves_products():
     j33 = Algebra(f2, 3, {(1, 2, 3): 1})
     aut = automorphism_group(j33)
     assert linalg.identity(f2, 3) in aut
-    for phi in aut:
+    assert ((0, 0, 1), (0, 1, 0), (1, 0, 0)) not in aut   # a·b = c, c·b = 0
+    for phi in aut_elements(j33):
         assert is_isomorphism(j33, j33, phi)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_chain_order_matches_enumeration(p):
+    fld = GF(p)
+    for n in (1, 2, 3):
+        for a in classify_dim(n, fld).representatives:
+            aut = automorphism_group(a)
+            for g in aut.generators:
+                assert is_isomorphism(a, a, g)
+            if p == 5 and not a.constants:
+                expected = gl_order(n, p)
+            else:
+                expected = len(aut_elements(a))
+            assert len(aut) == expected, a
+
+
+def test_chain_order_of_gl_3_7_without_enumeration():
+    aut = automorphism_group(zero_algebra(GF(7), 3))
+    assert len(aut) == gl_order(3, 7) == 33_784_128
+    assert len(aut.generators) < 20
+    for g in aut.generators:
+        assert linalg.invert(GF(7), g) is not None
 
 
 def test_aut_needs_prime_field():
@@ -54,9 +93,9 @@ def test_aut_j32_has_stated_shape():
     # images: phi(a) free with a11 != 0, phi(b) = a11²·b, phi(c) in span{b,c}
     f3 = GF(3)
     j32 = Algebra(f3, 3, {(1, 1, 2): 1})
-    aut = automorphism_group(j32)
-    assert len(aut) == 108   # 2 * 3 * 3 * 3 * 2 free parameters
-    for m in aut:
+    # 2 * 3 * 3 * 3 * 2 free parameters
+    assert len(automorphism_group(j32)) == 108
+    for m in aut_elements(j32):
         a11 = m[0][0]
         assert a11 != 0
         assert m[1] == (0, (a11 * a11) % 3, 0)
@@ -69,7 +108,7 @@ def test_aut_j33_alpha_has_stated_shape():
     for p, alpha in ((3, 1), (3, 2), (5, 1), (5, 2)):
         fld = GF(p)
         j33 = Algebra(fld, 3, {(1, 1, 3): 1, (2, 2, 3): alpha})
-        for m in automorphism_group(j33):
+        for m in aut_elements(j33):
             assert m[2][0] == 0 and m[2][1] == 0
             a33 = m[2][2]
             assert a33 == (m[0][0] ** 2 + alpha * m[0][1] ** 2) % p
@@ -81,7 +120,7 @@ def test_aut_j33_alpha_has_stated_shape():
 def test_aut_group_closed_under_product_and_inverse():
     f3 = GF(3)
     j22 = Algebra(f3, 2, {(1, 1, 2): 1})
-    elems = set(automorphism_group(j22).elements)
+    elems = set(aut_elements(j22))
     for m in elems:
         assert linalg.invert(f3, m) in elems
         for m2 in elems:
@@ -115,7 +154,7 @@ def test_act_composition_law():
     f3 = GF(3)
     j21 = zero_algebra(f3, 2)
     h2 = coh.h2_space(j21)
-    aut = automorphism_group(j21).elements
+    aut = aut_elements(j21)
     for _ in range(20):
         p = aut[rnd.randrange(len(aut))]
         q = aut[rnd.randrange(len(aut))]
@@ -171,33 +210,43 @@ def test_orbits_partition_allowable_points():
 
 
 def _reference_orbits(h2, aut, points):
-    # the full dim H² × dim H² action matrix of each phi, applied to the rows
+    """Orbit partition of points: the full dim H² × dim H² action matrix of
+    each phi in aut, applied to the rows of one point of each orbit."""
     f = h2.field
     mats = [[h2.reduce(coh.pull_back(phi, b)) for b in h2.basis]
             for phi in aut]
-    return {pt: {SubspacePoint(linalg.rref(
+    partition = []
+    seen = set()
+    for pt in points:
+        if pt in seen:
+            continue
+        orbit = {SubspacePoint(linalg.rref(
                      f, [linalg.vec_mat(f, row, m) for row in pt.coords])[0])
                  for m in mats}
-            for pt in points}
+        seen |= orbit
+        partition.append((pt, orbit))
+    return partition
 
 
 @pytest.mark.parametrize("a, r", [
+    (zero_algebra(GF(3), 3), 1),
     (zero_algebra(GF(3), 2), 1),
     (zero_algebra(GF(3), 2), 2),
     (Algebra(GF(3), 2, {(1, 1, 2): 1}), 1),
     (zero_algebra(GF(2), 3), 1),
     (Algebra(GF(2), 3, {(1, 1, 2): 1}), 1),   # dim H² = 4
     (Algebra(GF(2), 3, {(1, 1, 2): 1}), 2),
-], ids=["zero2-F3-r1", "zero2-F3-r2", "J22-F3-r1", "zero3-F2-r1",
+], ids=["zero3-F3-r1", "zero2-F3-r1", "zero2-F3-r2", "J22-F3-r1", "zero3-F2-r1",
         "J32-F2-r1", "J32-F2-r2"])
 def test_orbit_of_point_matches_action_matrices(a, r):
     h2 = coh.h2_space(a)
     aut = automorphism_group(a)
     points = allowable_points(a, h2, r)
     assert points
-    expected = _reference_orbits(h2, aut, points)
-    for pt in points:
-        assert orbit_of_point(h2, aut, pt) == expected[pt]
+    expected = _reference_orbits(h2, aut_elements(a), points)
+    assert set().union(*(orbit for _, orbit in expected)) == set(points)
+    for pt, orbit in expected:
+        assert orbit_of_point(h2, aut, pt) == orbit
 
 
 def test_allowable_stable_under_aut_random():
@@ -205,7 +254,7 @@ def test_allowable_stable_under_aut_random():
     f2 = GF(2)
     j21 = zero_algebra(f2, 2)
     h2 = coh.h2_space(j21)
-    aut = automorphism_group(j21).elements
+    aut = aut_elements(j21)
     pts = allowable_points(j21, h2, 1)
     for pt in pts:
         phi = aut[rnd.randrange(len(aut))]
