@@ -133,13 +133,13 @@ class _Search:
         self.cand_for = cand_for
 
     def assign(self, k, vec, trail):
-        f = self.f
-        rest = linalg.reduce_vector(f, vec, self.rows, self.pivots)
+        f, rows, pivots = self.f, self.rows, self.pivots
+        rest = linalg.reduce_vector(f, vec, rows, pivots)
         lead = next((c for c, x in enumerate(rest) if x), None)
         if lead is None:
             return False
-        self.rows.append(linalg.vec_scale(f, f.inv(rest[lead]), rest))
-        self.pivots.append(lead)
+        rows.append(linalg.vec_scale(f, f.inv(rest[lead]), rest))
+        pivots.append(lead)
         self.assigned[k] = vec
         trail.append(k)
         return True
@@ -150,15 +150,6 @@ class _Search:
             del assigned[k]
         del self.rows[len(self.rows) - len(trail):]
         del self.pivots[len(self.pivots) - len(trail):]
-
-    def extend(self, i, vec):
-        """Assign vec to e_i and propagate: the trail, or None (state
-        unchanged) on a contradiction."""
-        trail = []
-        if self.assign(i, vec, trail) and self.propagate(trail):
-            return trail
-        self.undo(trail)
-        return None
 
     def candidates(self, i):
         if self.f.is_prime_field:
@@ -202,11 +193,11 @@ class _Search:
 
     def propagate(self, trail):
         f, b, n = self.f, self.b, self.n
-        assigned = self.assigned
+        assigned, constraints = self.assigned, self.constraints
         changed = True
         while changed:
             changed = False
-            for (i, j), terms in self.constraints.items():
+            for (i, j), terms in constraints.items():
                 if i not in assigned or j not in assigned:
                     continue
                 w = b.product(assigned[i], assigned[j])
@@ -234,14 +225,14 @@ class _Search:
         # fail-first: prefer the index whose assignment yields the most
         # immediate product checks, then the most forced images.  The
         # choice depends only on which indices are assigned.
-        assigned = self.assigned
+        assigned, constraints = self.assigned, self.constraints
         best_score = None
         best = None
         for i in self.order:
             if i in assigned:
                 continue
             checks = forces = 0
-            for (u, v), terms in self.constraints.items():
+            for (u, v), terms in constraints.items():
                 if u != i and v != i:
                     continue
                 partner = v if u == i else u
@@ -269,18 +260,13 @@ class _Search:
             self.nodes += 1
             if self.node_budget is not None and self.nodes > self.node_budget:
                 raise SearchBudgetExceeded()
-            if self.dfs_below(i, vec):
+            trail = []
+            hit = (self.assign(i, vec, trail) and self.propagate(trail)
+                   and self.dfs())
+            self.undo(trail)
+            if hit:
                 return True
         return False
-
-    def dfs_below(self, i, vec):
-        """Search the subtree of the child node e_i -> vec."""
-        trail = self.extend(i, vec)
-        if trail is None:
-            return False
-        hit = self.dfs()
-        self.undo(trail)
-        return hit
 
 
 def find_isomorphisms(a, b, find_all=False, q_entries=QQ_ENTRIES,
@@ -337,8 +323,9 @@ def stabiliser_chain(a):
     base = []                            # (index, trail) per level
     i = search.next_index()
     while i is not None:
-        trail = search.extend(i, ident[i])
-        if trail is None:
+        trail = []
+        if not (search.assign(i, ident[i], trail)
+                and search.propagate(trail)):
             raise RuntimeError("the identity failed the automorphism search")
         base.append((i, trail))
         i = search.next_index()
@@ -347,9 +334,14 @@ def stabiliser_chain(a):
         search.undo(trail)
         delta = _basic_orbit(f, ident[i], generators)
         for vec in search.candidates(i):
-            if vec not in delta and search.dfs_below(i, vec):
+            if vec in delta:
+                continue
+            trail = []
+            if (search.assign(i, vec, trail) and search.propagate(trail)
+                    and search.dfs()):
                 generators.append(search.results.pop())
                 delta = _basic_orbit(f, ident[i], generators)
+            search.undo(trail)
         lengths.append(len(delta))
     return generators, lengths[::-1]
 

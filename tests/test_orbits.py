@@ -228,25 +228,30 @@ def _reference_orbits(h2, aut, points):
     return partition
 
 
-@pytest.mark.parametrize("a, r", [
-    (zero_algebra(GF(3), 3), 1),
-    (zero_algebra(GF(3), 2), 1),
-    (zero_algebra(GF(3), 2), 2),
-    (Algebra(GF(3), 2, {(1, 1, 2): 1}), 1),
-    (zero_algebra(GF(2), 3), 1),
-    (Algebra(GF(2), 3, {(1, 1, 2): 1}), 1),   # dim H² = 4
-    (Algebra(GF(2), 3, {(1, 1, 2): 1}), 2),
+# every_point: the BFS runs from each allowable point and must give the
+# reference orbit of that point; the 234 points of zero3-F3-r1 (one orbit)
+# would take 14 s that way, so there it runs from one point of each orbit
+@pytest.mark.parametrize("a, r, every_point", [
+    (zero_algebra(GF(3), 3), 1, False),
+    (zero_algebra(GF(3), 2), 1, True),
+    (zero_algebra(GF(3), 2), 2, True),
+    (Algebra(GF(3), 2, {(1, 1, 2): 1}), 1, True),
+    (zero_algebra(GF(2), 3), 1, True),
+    (Algebra(GF(2), 3, {(1, 1, 2): 1}), 1, True),   # dim H² = 4
+    (Algebra(GF(2), 3, {(1, 1, 2): 1}), 2, True),
 ], ids=["zero3-F3-r1", "zero2-F3-r1", "zero2-F3-r2", "J22-F3-r1", "zero3-F2-r1",
         "J32-F2-r1", "J32-F2-r2"])
-def test_orbit_of_point_matches_action_matrices(a, r):
+def test_orbit_of_point_matches_action_matrices(a, r, every_point):
     h2 = coh.h2_space(a)
     aut = automorphism_group(a)
     points = allowable_points(a, h2, r)
     assert points
     expected = _reference_orbits(h2, aut_elements(a), points)
-    assert set().union(*(orbit for _, orbit in expected)) == set(points)
-    for pt, orbit in expected:
-        assert orbit_of_point(h2, aut, pt) == orbit
+    orbit_of = {pt: orbit for _, orbit in expected for pt in orbit}
+    assert set(orbit_of) == set(points)
+    assert sum(len(orbit) for _, orbit in expected) == len(points)
+    for pt in (points if every_point else [pt for pt, _ in expected]):
+        assert orbit_of_point(h2, aut, pt) == orbit_of[pt]
 
 
 def test_allowable_stable_under_aut_random():
