@@ -307,8 +307,11 @@ def cmd_oracle(args):
 
 
 def cmd_catalog(args):
+    entries = catalog_mod.catalog(args.case, args.dim)
+    if not entries:
+        raise InputError(f"no catalog entries for --case {args.case}"
+                         f" --dim {args.dim}")
     if args.action == "list":
-        entries = catalog_mod.catalog(args.case, args.dim)
         if args.json:
             _emit_json([{
                 "id": e.entry_id, "dim": e.dim, "case": e.case,
@@ -322,9 +325,6 @@ def cmd_catalog(args):
                   f"{'associative' if e.is_associative else 'not associative'}"
                   f"  {a!r}")
         return 0
-    if not catalog_mod.catalog(args.case, args.dim):
-        raise InputError(f"no catalog entries for --case {args.case}"
-                         f" --dim {args.dim}")
     report = catalog_mod.catalog_verify(args.case, args.dim, jobs=args.jobs)
     if args.json:
         _emit_json({

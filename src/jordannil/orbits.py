@@ -5,10 +5,10 @@ generators and the basic orbit lengths, whose product is |Aut(J)|.  No list
 of its elements is built.
 
 Points of the Grassmannian G_r(H²) are r × dim(H²) coordinate matrices in
-canonical RREF, so point equality is structural.  The action of Aut(J) on H²
-is linear, so an automorphism φ moves a point to the span of the pull-backs
-φθ of the r forms θ spanning it, reduced modulo δC¹.  The orbit of a point
-is the closure of the point under the generators, found breadth first.
+canonical RREF, so point equality is structural.  Aut(J) acts linearly on
+H² coordinates: a generator g moves a point P to rref(P·A_g), where row k
+of A_g is the reduced pull-back of the k-th H² basis form.  An orbit is the
+closure of a point under the generators, found breadth first.
 """
 
 from itertools import combinations, product as iproduct
@@ -53,10 +53,6 @@ class SubspacePoint:
     def __init__(self, coords):
         self.coords = tuple(tuple(r) for r in coords)
 
-    @property
-    def r(self):
-        return len(self.coords)
-
     def __eq__(self, other):
         return isinstance(other, SubspacePoint) and self.coords == other.coords
 
@@ -68,12 +64,9 @@ class SubspacePoint:
 
 
 def grassmannian_points(h2_dim, r, field):
-    """All r-dimensional subspaces of field^h2_dim, each exactly once.
-
-    Enumerates canonical RREF matrices: a pivot column combination plus free
-    entries (free positions are right of the row's pivot and not pivots of
-    other rows).
-    """
+    """All r-dimensional subspaces of field^h2_dim, each exactly once, as
+    canonical RREF matrices: pivot columns plus free entries right of each
+    row's pivot and off the other pivots."""
     if not field.is_prime_field:
         raise UnsupportedFieldError("cannot enumerate subspaces over Q")
     if not 1 <= r <= h2_dim:
@@ -94,11 +87,6 @@ def grassmannian_points(h2_dim, r, field):
             yield SubspacePoint(mat)
 
 
-def _canonical_point(field, rows):
-    red, _ = linalg.rref(field, rows)
-    return SubspacePoint(red)
-
-
 def _point_key(pt):
     return pt.coords
 
@@ -108,30 +96,37 @@ def point_forms(h2, pt):
     return tuple(h2.lift(row) for row in pt.coords)
 
 
-def _is_allowable_point(algebra, h2, pt):
-    forms = point_forms(h2, pt)
-    rad = cohomology.radical(list(forms))
-    return rad.intersection(algebra.centre()).is_zero()
-
-
 def allowable_points(a, h2, r):
-    """U_r(J): Grassmannian points whose joint radical avoids the centre."""
+    """U_r(J): points whose forms θ_i = Σ_k c_ik b_k have a joint radical
+    meeting Z(J) = span(z_1..z_m) in 0, i.e. [θ_i(z_s, e_j)] has rank m."""
     if r > h2.dim:
         return []
-    return [pt for pt in grassmannian_points(h2.dim, r, a.field)
-            if _is_allowable_point(a, h2, pt)]
+    f = a.field
+    # pairing[s][k] = b_k(z_s, ·)
+    pairing = [[linalg.vec_mat(f, z, b.rows) for b in h2.basis]
+               for z in a.centre().rows]
+
+    def allowable(pt):
+        rows = [[x for c in pt.coords for x in linalg.vec_mat(f, c, zb)]
+                for zb in pairing]
+        return linalg.rank(f, rows) == len(pairing)
+
+    return [pt for pt in grassmannian_points(h2.dim, r, f) if allowable(pt)]
 
 
-def orbit_of_point(h2, aut, pt):
-    """Aut(J)-orbit of a point, breadth first over the generators: each
-    point reached costs r pull-backs and one RREF per generator."""
+def h2_action_matrix(h2, g):
+    """A_g: row k holds the H² coordinates of the pull-back g·b_k."""
+    return tuple(h2.reduce(cohomology.pull_back(g, b)) for b in h2.basis)
+
+
+def orbit_of_point(field, mats, pt):
+    """Orbit of pt under the generators' action matrices, breadth first."""
     orbit = {pt}
     queue = [pt]
     for cur in queue:
-        forms = point_forms(h2, cur)
-        for g in aut.generators:
-            img = _canonical_point(h2.field, [
-                h2.reduce(cohomology.pull_back(g, b)) for b in forms])
+        for mat in mats:
+            img = SubspacePoint(linalg.rref(field, [
+                linalg.vec_mat(field, row, mat) for row in cur.coords])[0])
             if img not in orbit:
                 orbit.add(img)
                 queue.append(img)
@@ -140,12 +135,13 @@ def orbit_of_point(h2, aut, pt):
 
 def orbit_representatives_from(h2, aut, points):
     """Least point of each Aut-orbit meeting points (an Aut-stable set)."""
+    mats = [h2_action_matrix(h2, g) for g in aut.generators]
     reps = []
     visited = set()
     for pt in points:
         if pt in visited:
             continue
-        orbit = orbit_of_point(h2, aut, pt)
+        orbit = orbit_of_point(h2.field, mats, pt)
         visited |= orbit
         reps.append(min(orbit, key=_point_key))
     return sorted(reps, key=_point_key)

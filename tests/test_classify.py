@@ -199,16 +199,18 @@ def test_dim4_classification_contains_catalog_tables():
                        for rep in bucket), (case, entry.entry_id)
 
 
-def test_dim4_over_f5_is_reachable():
-    # Aut(J) as a stabiliser chain keeps GL(3,5) from being enumerated; the
-    # class count over F_5 is a finding, not an assertion
-    f5 = GF(5)
-    result = classify_dim(4, f5)
+@pytest.mark.parametrize("p", [5, 7])
+def test_dim4_over_f5_is_reachable(p):
+    # Aut(J) as a stabiliser chain keeps GL(3,p) from being enumerated, and
+    # its orbits are found on H² coordinates; the class counts over F_5 and
+    # F_7 are findings, not assertions
+    fld = GF(p)
+    result = classify_dim(4, fld)
     for rep in result.representatives:
         assert rep.check_jordan()
         assert rep.is_nilpotent()[0]
-    sums = [p for p in result.provenance if p.kind == "direct_sum"]
-    assert len(sums) == len(classify_dim(3, f5))
+    sums = [pv for pv in result.provenance if pv.kind == "direct_sum"]
+    assert len(sums) == len(classify_dim(3, fld))
 
 
 def test_catalog_verify_builds_each_entry_once(monkeypatch):

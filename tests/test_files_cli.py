@@ -238,12 +238,14 @@ def test_cli_catalog(capsys):
 
 
 def test_cli_catalog_verify_empty_selection_exits_2(capsys):
-    for extra in ([], ["--json"]):
-        assert cli.main(["catalog", "verify", "--case", "char2", "--dim", "4",
-                         *extra]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: no catalog entries")
+    # `catalog list` refuses an empty selection the same way
+    for action in ("verify", "list"):
+        for extra in ([], ["--json"]):
+            assert cli.main(["catalog", action, "--case", "char2",
+                             "--dim", "4", *extra]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: no catalog entries")
 
 
 def test_cli_invariants_json(tmp_path, capsys):

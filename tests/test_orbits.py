@@ -12,8 +12,8 @@ from jordannil.field import GF, QQ, UnsupportedFieldError
 from jordannil.homsearch import find_isomorphisms
 from jordannil.orbits import (SubspacePoint, allowable_points,
                               automorphism_group, grassmannian_points,
-                              orbit_of_point, orbit_representatives,
-                              point_forms)
+                              h2_action_matrix, orbit_of_point,
+                              orbit_representatives, point_forms)
 
 
 def act_on_h2(h2, phi, coords):
@@ -195,12 +195,13 @@ def test_orbits_partition_allowable_points():
     j21 = zero_algebra(f3, 2)
     h2 = coh.h2_space(j21)
     aut = automorphism_group(j21)
+    mats = [h2_action_matrix(h2, g) for g in aut.generators]
     allowable = set(allowable_points(j21, h2, 1))
     reps = orbit_representatives(j21, 1)
     union = set()
     total = 0
     for pt in reps:
-        orbit = orbit_of_point(h2, aut, pt)
+        orbit = orbit_of_point(f3, mats, pt)
         assert orbit <= allowable           # U_r is stable under Aut
         assert len(aut) % len(orbit) == 0   # orbit-stabilizer
         assert not (orbit & union)
@@ -228,30 +229,66 @@ def _reference_orbits(h2, aut, points):
     return partition
 
 
-# every_point: the BFS runs from each allowable point and must give the
-# reference orbit of that point; the 234 points of zero3-F3-r1 (one orbit)
-# would take 14 s that way, so there it runs from one point of each orbit
-@pytest.mark.parametrize("a, r, every_point", [
-    (zero_algebra(GF(3), 3), 1, False),
-    (zero_algebra(GF(3), 2), 1, True),
-    (zero_algebra(GF(3), 2), 2, True),
-    (Algebra(GF(3), 2, {(1, 1, 2): 1}), 1, True),
-    (zero_algebra(GF(2), 3), 1, True),
-    (Algebra(GF(2), 3, {(1, 1, 2): 1}), 1, True),   # dim H² = 4
-    (Algebra(GF(2), 3, {(1, 1, 2): 1}), 2, True),
-], ids=["zero3-F3-r1", "zero2-F3-r1", "zero2-F3-r2", "J22-F3-r1", "zero3-F2-r1",
-        "J32-F2-r1", "J32-F2-r2"])
-def test_orbit_of_point_matches_action_matrices(a, r, every_point):
+# the BFS runs from every allowable point and must give the reference orbit
+# of that point
+CASES = [
+    (zero_algebra(GF(3), 3), 1),
+    (zero_algebra(GF(3), 2), 1),
+    (zero_algebra(GF(3), 2), 2),
+    (Algebra(GF(3), 2, {(1, 1, 2): 1}), 1),
+    (zero_algebra(GF(2), 3), 1),
+    (Algebra(GF(2), 3, {(1, 1, 2): 1}), 1),   # dim H² = 4
+    (Algebra(GF(2), 3, {(1, 1, 2): 1}), 2),
+]
+CASE_IDS = ["zero3-F3-r1", "zero2-F3-r1", "zero2-F3-r2", "J22-F3-r1",
+            "zero3-F2-r1", "J32-F2-r1", "J32-F2-r2"]
+
+
+@pytest.mark.parametrize("a, r", CASES, ids=CASE_IDS)
+def test_orbit_of_point_matches_action_matrices(a, r):
     h2 = coh.h2_space(a)
     aut = automorphism_group(a)
+    mats = [h2_action_matrix(h2, g) for g in aut.generators]
     points = allowable_points(a, h2, r)
     assert points
     expected = _reference_orbits(h2, aut_elements(a), points)
     orbit_of = {pt: orbit for _, orbit in expected for pt in orbit}
     assert set(orbit_of) == set(points)
     assert sum(len(orbit) for _, orbit in expected) == len(points)
-    for pt in (points if every_point else [pt for pt, _ in expected]):
-        assert orbit_of_point(h2, aut, pt) == orbit_of[pt]
+    for pt in points:
+        assert orbit_of_point(a.field, mats, pt) == orbit_of[pt]
+
+
+@pytest.mark.parametrize("a, r", CASES, ids=CASE_IDS)
+def test_allowable_points_match_radical_route(a, r):
+    # the coordinate rank test against the joint radical of the lifted
+    # forms meeting Z(J), on every Grassmannian point; the cases include
+    # centres of dimension 2 and 3 (zero algebras) and r = 2
+    h2 = coh.h2_space(a)
+    allowable = set(allowable_points(a, h2, r))
+    centre = a.centre()
+    for pt in grassmannian_points(h2.dim, r, a.field):
+        rad = coh.radical(list(point_forms(h2, pt)))
+        assert (pt in allowable) == rad.intersection(centre).is_zero(), pt
+
+
+@pytest.mark.parametrize("a", [zero_algebra(GF(3), 2),
+                               Algebra(GF(2), 3, {(1, 1, 2): 1}),
+                               Algebra(GF(3), 3, {(1, 1, 3): 1, (2, 2, 3): 2})],
+                         ids=["zero2-F3", "J32-F2", "J33-F3"])
+def test_action_matrix_matches_pull_back(a):
+    f = a.field
+    h2 = coh.h2_space(a)
+    for g in automorphism_group(a).generators:
+        mat = h2_action_matrix(h2, g)
+        for v in iproduct(range(f.p), repeat=h2.dim):
+            assert linalg.vec_mat(f, v, mat) == act_on_h2(h2, g, v)
+        for r in range(1, h2.dim + 1):
+            for pt in grassmannian_points(h2.dim, r, f):
+                moved = [linalg.vec_mat(f, row, mat) for row in pt.coords]
+                pulled = [h2.reduce(coh.pull_back(g, b))
+                          for b in point_forms(h2, pt)]
+                assert linalg.rref(f, moved) == linalg.rref(f, pulled)
 
 
 def test_allowable_stable_under_aut_random():
