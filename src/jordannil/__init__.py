@@ -17,7 +17,7 @@ from .groebner import (Limits, PolyRing, Polynomial, ResourceLimitError,
                        buchberger, contains_one, reduce_poly, s_polynomial)
 from .isotest import IsoVerdict, decide, iso_system, prefilter, verify_witness
 from .linalg import Subspace
-from .orbits import (AutGroup, SubspacePoint, automorphism_group,
-                     grassmannian_points, orbit_representatives)
+from .orbits import (AutGroup, automorphism_group, grassmannian_points,
+                     orbit_representatives)
 
 __version__ = "0.1.0"

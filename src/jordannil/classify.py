@@ -12,7 +12,7 @@ structure-constant table, filter, and partition by explicit basis changes.
 from dataclasses import dataclass
 from itertools import product as iproduct
 
-from . import cohomology, extension, homsearch, orbits
+from . import extension, homsearch, orbits
 from .algebra import Algebra, fingerprint_key, zero_algebra
 
 
@@ -58,13 +58,9 @@ def descendants_with_reps(a, r):
     Each J_θ is built once and checked against the centre lemma
     Z(J_θ) = (θ⊥ ∩ Z(J)) ⊕ V; a violation raises, under python -O too.
     """
-    h2 = cohomology.h2_space(a)
-    if r > h2.dim:
-        return []
-    aut = orbits.automorphism_group(a)
+    h2, _, reps = orbits.orbit_representatives(a, r)
     out = []
-    points = orbits.allowable_points(a, h2, r)
-    for rep in orbits.orbit_representatives_from(h2, aut, points):
+    for rep in reps:
         # lifts of H² coordinates lie in Z² by construction
         vec = extension.CocycleVector(a, orbits.point_forms(h2, rep),
                                       validate=False)
@@ -106,7 +102,7 @@ def classify_dim(n, fld, _memo=None):
         for idx, parent in enumerate(parents.representatives):
             for ext, rep in descendants_with_reps(parent, r):
                 candidates.append(
-                    (ext, Provenance("extension", n - r, idx, r, rep.coords)))
+                    (ext, Provenance("extension", n - r, idx, r, rep)))
 
     # Skjelbred–Sund: the candidates are pairwise non-isomorphic (direct
     # sums by their parts without a central component, extensions by their

@@ -144,14 +144,7 @@ def cmd_orbits(args):
         raise InputError("orbit enumeration needs a prime field")
     if args.r < 1:
         raise InputError("--r must be at least 1")
-    h2 = cohomology.h2_space(a)
-    if args.r > h2.dim:
-        allowable = []
-        reps = []
-    else:
-        aut = orbits.automorphism_group(a)
-        allowable = orbits.allowable_points(a, h2, args.r)
-        reps = orbits.orbit_representatives_from(h2, aut, allowable)
+    h2, allowable, reps = orbits.orbit_representatives(a, args.r)
 
     def rep_text(pt):
         forms = orbits.point_forms(h2, pt)
@@ -239,7 +232,10 @@ def cmd_gb(args):
             polys_text.append(line)
     if fld is None or not names:
         raise InputError("gb file needs `field ...` and `vars ...` headers")
-    ring = PolyRing(fld, names, args.order)
+    try:
+        ring = PolyRing(fld, names, args.order)
+    except ValueError as exc:
+        raise InputError(f"bad vars line: {exc}") from exc
     try:
         gens = [ring.parse(t) for t in polys_text]
     except ValueError as exc:

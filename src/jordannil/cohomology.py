@@ -281,14 +281,12 @@ def h2_space(a):
     return H2Space(a)
 
 
-def radical(forms, field=None, n=None):
+def radical(forms):
     """θ⊥ = {x : θ(x, ·) = 0}; for several forms, the joint radical."""
     if isinstance(forms, BilinearForm):
         forms = [forms]
     forms = list(forms)
-    if forms:
-        field = forms[0].field
-        n = forms[0].n
+    field, n = forms[0].field, forms[0].n
     rows = [r for form in forms for r in form.rows]
     return Subspace(field, n, linalg.nullspace(field, rows, n))
 

@@ -76,8 +76,14 @@ class PolyRing:
     def __init__(self, field, names, order="degrevlex"):
         if order not in ORDERS:
             raise ValueError(f"unknown monomial order {order!r}")
+        names = tuple(names)
+        for name in names:
+            if not name.isidentifier():
+                raise ValueError(f"variable name {name!r} is not an identifier")
+        if len(set(names)) != len(names):
+            raise ValueError(f"repeated variable name in {' '.join(names)}")
         self.field = field
-        self.names = tuple(names)
+        self.names = names
         self.order = order
         self.key = ORDERS[order]
         self._index = {name: i for i, name in enumerate(self.names)}
@@ -302,16 +308,16 @@ def parse_polynomial(ring, text):
         for factor in chunk.split("*"):
             if not factor:
                 raise ValueError(f"empty factor in {text!r}")
-            name, _, exp = factor.partition("^")
+            name, caret, exp = factor.partition("^")
             if name in ring._index:
                 e = 1
-                if exp:
+                if caret:
                     if not exp.isdigit():
                         raise ValueError(f"bad exponent in {factor!r}")
                     e = int(exp)
                 mono[ring._index[name]] += e
             else:
-                if exp:
+                if caret:
                     raise ValueError(f"exponent on a constant in {factor!r}")
                 coeff = f.mul(coeff, f.parse(factor))
         poly = poly + ring.poly({tuple(mono): coeff})

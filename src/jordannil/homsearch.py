@@ -16,8 +16,8 @@ stacked system is solved once per node and its solutions are visited in
 lexicographic order, which is the order of the full candidate list of F_p^n
 restricted to the images that propagation would not reject; so the search
 returns the same witnesses and automorphism lists as a scan of F_p^n.  Over Q
-it enumerates vectors with entries from a small-height candidate set under a
-node budget, so a "not found" answer is only heuristic there.
+it enumerates vectors with entries from QQ_ENTRIES and gives up after
+QQ_NODE_BUDGET nodes, so a "not found" answer is only heuristic there.
 
 `find_witness` searches from the side with fewer nonzero structure constants
 and inverts the witness if that is b: the fewer constraints the source has,
@@ -33,6 +33,7 @@ basic orbit known so far, so Aut(a) comes out as generators and basic orbit
 lengths, and its elements are never listed.
 """
 
+from functools import partial
 from itertools import product as iproduct
 
 from . import linalg
@@ -44,6 +45,7 @@ class SearchBudgetExceeded(Exception):
 
 
 QQ_ENTRIES = (0, 1, -1, 2, -2)
+QQ_NODE_BUDGET = 20_000
 
 
 def _assignment_order(a):
@@ -55,12 +57,12 @@ def _assignment_order(a):
     return sorted(range(a.dim), key=lambda i: (-counts[i], i))
 
 
-def _candidate_vectors(a, q_entries):
+def _candidate_vectors(a):
     f = a.field
     if f.is_prime_field:
         vecs = [tuple(v) for v in iproduct(range(f.p), repeat=a.dim)]
     else:
-        entries = [f.of(e) for e in q_entries]
+        entries = [f.of(e) for e in QQ_ENTRIES]
         vecs = [tuple(v) for v in iproduct(entries, repeat=a.dim)]
     return [v for v in vecs if any(v)]
 
@@ -98,12 +100,12 @@ class _Search:
     one node in turn.
     """
 
-    def __init__(self, a, b, find_all, q_entries, node_budget):
+    def __init__(self, a, b, find_all):
         f = a.field
         n = a.dim
         self.b, self.f, self.n = b, f, n
         self.find_all = find_all
-        self.node_budget = node_budget
+        self.node_budget = None if f.is_prime_field else QQ_NODE_BUDGET
         self.order = _assignment_order(a)
         self.results = []
         self.assigned = {}
@@ -119,7 +121,7 @@ class _Search:
 
         # indices with e_i ∘ e_i = 0 can only map to square-zero vectors of
         # b; filtering once keeps deep branches from rescanning the space
-        candidates = _candidate_vectors(a, q_entries)
+        candidates = _candidate_vectors(a)
         square_zero = None
         cand_for = {}
         for i in range(n):
@@ -269,12 +271,11 @@ class _Search:
         return False
 
 
-def find_isomorphisms(a, b, find_all=False, q_entries=QQ_ENTRIES,
-                      node_budget=None):
+def find_isomorphisms(a, b, find_all=False):
     """Matrices (rows = images of a's basis) of isomorphisms a -> b.
 
     Returns a list; with find_all=False it holds at most one witness.
-    Raises SearchBudgetExceeded if the node budget runs out.
+    Over Q raises SearchBudgetExceeded after QQ_NODE_BUDGET nodes.
     """
     if a.field != b.field or a.dim != b.dim:
         return []
@@ -284,24 +285,25 @@ def find_isomorphisms(a, b, find_all=False, q_entries=QQ_ENTRIES,
         return [()]
     if not find_all and is_isomorphism(a, b, linalg.identity(f, n)):
         return [linalg.identity(f, n)]
-    search = _Search(a, b, find_all, q_entries, node_budget)
+    search = _Search(a, b, find_all)
     search.dfs()
     if not find_all:
         return search.results[:1]
     return sorted(set(search.results))
 
 
-def _basic_orbit(f, vec, generators):
-    """Orbit of a row vector under the group the matrices generate."""
-    orbit = {vec}
-    queue = [vec]
-    for v in queue:
+def orbit(start, generators, act):
+    """Orbit of start under the group the generators generate, where
+    act(x, g) is the image of x under g: its closure, breadth first."""
+    seen = {start}
+    queue = [start]
+    for x in queue:
         for g in generators:
-            w = linalg.vec_mat(f, v, g)
-            if w not in orbit:
-                orbit.add(w)
-                queue.append(w)
-    return orbit
+            y = act(x, g)
+            if y not in seen:
+                seen.add(y)
+                queue.append(y)
+    return seen
 
 
 def stabiliser_chain(a):
@@ -319,7 +321,8 @@ def stabiliser_chain(a):
     """
     f, n = a.field, a.dim
     ident = linalg.identity(f, n)
-    search = _Search(a, a, False, QQ_ENTRIES, None)
+    act = partial(linalg.vec_mat, f)
+    search = _Search(a, a, False)
     base = []                            # (index, trail) per level
     i = search.next_index()
     while i is not None:
@@ -332,7 +335,7 @@ def stabiliser_chain(a):
     generators, lengths = [], []
     for i, trail in reversed(base):
         search.undo(trail)
-        delta = _basic_orbit(f, ident[i], generators)
+        delta = orbit(ident[i], generators, act)
         for vec in search.candidates(i):
             if vec in delta:
                 continue
@@ -340,13 +343,13 @@ def stabiliser_chain(a):
             if (search.assign(i, vec, trail) and search.propagate(trail)
                     and search.dfs()):
                 generators.append(search.results.pop())
-                delta = _basic_orbit(f, ident[i], generators)
+                delta = orbit(ident[i], generators, act)
             search.undo(trail)
         lengths.append(len(delta))
     return generators, lengths[::-1]
 
 
-def find_witness(a, b, q_entries=QQ_ENTRIES, node_budget=None):
+def find_witness(a, b):
     """An isomorphism a -> b (rows = images of a's basis) or None.
 
     The search runs from the side with fewer nonzero structure constants, a
@@ -354,8 +357,7 @@ def find_witness(a, b, q_entries=QQ_ENTRIES, node_budget=None):
     """
     swap = len(b.constants) < len(a.constants)
     source, target = (b, a) if swap else (a, b)
-    found = find_isomorphisms(source, target, find_all=False,
-                              q_entries=q_entries, node_budget=node_budget)
+    found = find_isomorphisms(source, target)
     if not found:
         return None
     return linalg.invert(a.field, found[0]) if swap else found[0]

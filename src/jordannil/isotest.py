@@ -176,8 +176,7 @@ def _check_witness(a, b, witness):
         raise InvalidWitnessError(f"witness {witness} is not an isomorphism")
 
 
-def decide(a, b, mode=MODE_BASE_FIELD_FIRST, limits=None,
-           q_entries=homsearch.QQ_ENTRIES, q_node_budget=20_000):
+def decide(a, b, mode=MODE_BASE_FIELD_FIRST, limits=None):
     """Classify the pair: see IsoVerdict kinds for the possible outcomes."""
     if a.field != b.field:
         raise ValueError("algebras must share the ground field")
@@ -190,8 +189,7 @@ def decide(a, b, mode=MODE_BASE_FIELD_FIRST, limits=None,
 
     def q_heuristic():
         try:
-            return homsearch.find_witness(a, b, q_entries=q_entries,
-                                          node_budget=q_node_budget)
+            return homsearch.find_witness(a, b)
         except homsearch.SearchBudgetExceeded:
             return None
 

@@ -4,11 +4,13 @@ Aut(J) is kept as a stabiliser chain (`homsearch.stabiliser_chain`): a few
 generators and the basic orbit lengths, whose product is |Aut(J)|.  No list
 of its elements is built.
 
-Points of the Grassmannian G_r(H²) are r × dim(H²) coordinate matrices in
-canonical RREF, so point equality is structural.  Aut(J) acts linearly on
-H² coordinates: a generator g moves a point P to rref(P·A_g), where row k
-of A_g is the reduced pull-back of the k-th H² basis form.  An orbit is the
-closure of a point under the generators, found breadth first.
+A point of the Grassmannian G_r(H²) is the tuple of rows of an
+r × dim(H²) coordinate matrix in canonical RREF, as `linalg.rref` returns
+it, so equal subspaces are equal tuples, and tuples compare
+lexicographically.  Aut(J) acts linearly on H² coordinates: a generator g
+moves a point P to rref(P·A_g), where row k of A_g is the reduced pull-back
+of the k-th H² basis form.  An orbit is the closure of a point under the
+generators (`homsearch.orbit`).
 """
 
 from itertools import combinations, product as iproduct
@@ -17,7 +19,7 @@ from math import prod
 from . import cohomology, linalg
 from .algebra import is_isomorphism
 from .field import UnsupportedFieldError
-from .homsearch import stabiliser_chain
+from .homsearch import orbit, stabiliser_chain
 
 
 class AutGroup:
@@ -45,24 +47,6 @@ def automorphism_group(a):
     return AutGroup(a, *stabiliser_chain(a))
 
 
-class SubspacePoint:
-    """An r-dimensional subspace of H² in canonical RREF coordinates."""
-
-    __slots__ = ("coords",)
-
-    def __init__(self, coords):
-        self.coords = tuple(tuple(r) for r in coords)
-
-    def __eq__(self, other):
-        return isinstance(other, SubspacePoint) and self.coords == other.coords
-
-    def __hash__(self):
-        return hash(self.coords)
-
-    def __repr__(self):
-        return f"SubspacePoint({self.coords})"
-
-
 def grassmannian_points(h2_dim, r, field):
     """All r-dimensional subspaces of field^h2_dim, each exactly once, as
     canonical RREF matrices: pivot columns plus free entries right of each
@@ -84,30 +68,24 @@ def grassmannian_points(h2_dim, r, field):
                 mat[row][pc] = field.one
             for (row, col), v in zip(free_pos, values):
                 mat[row][col] = v
-            yield SubspacePoint(mat)
-
-
-def _point_key(pt):
-    return pt.coords
+            yield tuple(map(tuple, mat))
 
 
 def point_forms(h2, pt):
     """Lift a subspace point to its representative cocycles."""
-    return tuple(h2.lift(row) for row in pt.coords)
+    return tuple(h2.lift(row) for row in pt)
 
 
 def allowable_points(a, h2, r):
     """U_r(J): points whose forms θ_i = Σ_k c_ik b_k have a joint radical
     meeting Z(J) = span(z_1..z_m) in 0, i.e. [θ_i(z_s, e_j)] has rank m."""
-    if r > h2.dim:
-        return []
     f = a.field
     # pairing[s][k] = b_k(z_s, ·)
     pairing = [[linalg.vec_mat(f, z, b.rows) for b in h2.basis]
                for z in a.centre().rows]
 
     def allowable(pt):
-        rows = [[x for c in pt.coords for x in linalg.vec_mat(f, c, zb)]
+        rows = [[x for c in pt for x in linalg.vec_mat(f, c, zb)]
                 for zb in pairing]
         return linalg.rank(f, rows) == len(pairing)
 
@@ -120,17 +98,9 @@ def h2_action_matrix(h2, g):
 
 
 def orbit_of_point(field, mats, pt):
-    """Orbit of pt under the generators' action matrices, breadth first."""
-    orbit = {pt}
-    queue = [pt]
-    for cur in queue:
-        for mat in mats:
-            img = SubspacePoint(linalg.rref(field, [
-                linalg.vec_mat(field, row, mat) for row in cur.coords])[0])
-            if img not in orbit:
-                orbit.add(img)
-                queue.append(img)
-    return orbit
+    """Orbit of pt under the generators' action matrices."""
+    return orbit(pt, mats, lambda p, m: linalg.rref(
+        field, [linalg.vec_mat(field, row, m) for row in p])[0])
 
 
 def orbit_representatives_from(h2, aut, points):
@@ -141,16 +111,17 @@ def orbit_representatives_from(h2, aut, points):
     for pt in points:
         if pt in visited:
             continue
-        orbit = orbit_of_point(h2.field, mats, pt)
-        visited |= orbit
-        reps.append(min(orbit, key=_point_key))
-    return sorted(reps, key=_point_key)
+        found = orbit_of_point(h2.field, mats, pt)
+        visited |= found
+        reps.append(min(found))
+    return sorted(reps)
 
 
 def orbit_representatives(a, r):
-    """Lexicographically least representative of each Aut(J)-orbit on U_r(J)."""
+    """(H²(J), U_r(J), the least point of each Aut(J)-orbit on U_r(J))."""
     h2 = cohomology.h2_space(a)
     if r > h2.dim:
-        return []
-    aut = automorphism_group(a)
-    return orbit_representatives_from(h2, aut, allowable_points(a, h2, r))
+        return h2, [], []
+    allowable = allowable_points(a, h2, r)
+    reps = orbit_representatives_from(h2, automorphism_group(a), allowable)
+    return h2, allowable, reps

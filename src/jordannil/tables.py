@@ -195,8 +195,8 @@ def _verify_entry(entry, a):
     return checks
 
 
-def _certify_pair(a, b, mode, limits=None):
-    verdict = isotest.decide(a, b, mode=mode, limits=limits)
+def _certify_pair(a, b, mode):
+    verdict = isotest.decide(a, b, mode=mode)
     if verdict.kind == isotest.DISTINGUISHED:
         return ("fingerprint", True, verdict.invariant)
     if verdict.kind == isotest.NON_ISOMORPHIC_OVER_CLOSURE:
@@ -211,7 +211,7 @@ def _certify_pair(a, b, mode, limits=None):
 
 
 def _pair_job(args):
-    case, dim, i, j, limits = args
+    case, dim, i, j = args
     entries = catalog(case, dim)
     e1, e2 = entries[i], entries[j]
     fld = entry_field(case)
@@ -222,7 +222,7 @@ def _pair_job(args):
             else isotest.MODE_CLOSURE_ONLY)
     method, ok, detail = _certify_pair(_entry_algebra(case, dim, i),
                                        _entry_algebra(case, dim, j),
-                                       mode, limits)
+                                       mode)
     return (e1.entry_id, e2.entry_id, method, ok, detail)
 
 
@@ -245,7 +245,7 @@ class CatalogReport:
         return methods
 
 
-def catalog_verify(case, dim=None, jobs=1, limits=None):
+def catalog_verify(case, dim=None, jobs=1):
     """Check every entry and certify pairwise distinctness where in scope."""
     entries = catalog(case, dim)
     entry_checks = tuple(
@@ -258,7 +258,7 @@ def catalog_verify(case, dim=None, jobs=1, limits=None):
     for _, idxs in sorted(by_dim.items()):
         for ii, i in enumerate(idxs):
             for j in idxs[ii + 1:]:
-                jobs_args.append((case, dim, i, j, limits))
+                jobs_args.append((case, dim, i, j))
     if jobs > 1 and jobs_args:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -131,11 +131,9 @@ def test_criterion_5_centre_lemma():
     parents += [(e.algebra(GF(2)), GF(2))
                 for e in tables.catalog("char2") if e.dim <= 3]
     for a, fld in parents:
-        h2 = coh.h2_space(a)
-        aut = orbits.automorphism_group(a)
         for r in range(1, 5 - a.dim):
-            points = orbits.allowable_points(a, h2, r)
-            for rep in orbits.orbit_representatives_from(h2, aut, points):
+            h2, _, reps = orbits.orbit_representatives(a, r)
+            for rep in reps:
                 forms = orbits.point_forms(h2, rep)
                 vec = ext.CocycleVector(a, forms)
                 _, flag = ext.centre_of_extension_decomposition(a, vec)

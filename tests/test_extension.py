@@ -165,7 +165,7 @@ def test_allowable_extension_centre_is_exactly_v():
         a = Algebra(fld, n, consts)
         h2 = coh.h2_space(a)
         for r in range(1, h2.dim + 1):
-            for pt in orbits.orbit_representatives(a, r):
+            for pt in orbits.orbit_representatives(a, r)[2]:
                 forms = orbits.point_forms(h2, pt)
                 built = central_extension(a, CocycleVector(a, forms))
                 centre = built.centre()

@@ -226,6 +226,19 @@ def test_cli_gb(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("text", [
+    "field Q\nvars x 2\nx-2\n",        # `2` is not a variable name
+    "field Q\nvars x x\nx\n",          # a name given twice
+    "field Q\nvars x y\nx^*y - 1\n",   # an exponent left empty
+], ids=["number-as-var", "repeated-var", "empty-exponent"])
+def test_cli_gb_rejects_bad_vars_and_exponents(tmp_path, capsys, text):
+    path = write(tmp_path, "bad.gb", text)
+    assert cli.main(["gb", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_cli_catalog(capsys):
     code, out = run_cli(capsys, "catalog", "list", "--case", "closed",
                         "--dim", "4")

@@ -1,10 +1,11 @@
 import random
+from functools import partial
 from itertools import product as iproduct
 
 import pytest
 
 from jordannil import homsearch, linalg, tables
-from jordannil.algebra import is_isomorphism
+from jordannil.algebra import is_isomorphism, zero_algebra
 from jordannil.classify import classify_dim
 from jordannil.field import GF
 
@@ -27,6 +28,17 @@ def test_automorphisms_match_gl_filter(p):
         for a in classify_dim(n, fld).representatives:
             brute = [m for m in group if is_isomorphism(a, a, m)]
             assert homsearch.find_isomorphisms(a, a, find_all=True) == brute, a
+
+
+@pytest.mark.parametrize("p, n", [(2, 3), (3, 2), (5, 3), (7, 2)])
+def test_orbit_of_e1_under_gl_generators(p, n):
+    # GL(n, p) is transitive on the nonzero vectors of F_p^n
+    fld = GF(p)
+    generators, _ = homsearch.stabiliser_chain(zero_algebra(fld, n))
+    e1 = linalg.unit(fld, n, 0)
+    found = homsearch.orbit(e1, generators, partial(linalg.vec_mat, fld))
+    assert len(found) == p ** n - 1
+    assert all(any(v) for v in found)
 
 
 def _closed_dim4_conjugates(p):

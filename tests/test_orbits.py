@@ -10,10 +10,10 @@ from jordannil.algebra import Algebra, is_isomorphism, zero_algebra
 from jordannil.classify import classify_dim
 from jordannil.field import GF, QQ, UnsupportedFieldError
 from jordannil.homsearch import find_isomorphisms
-from jordannil.orbits import (SubspacePoint, allowable_points,
-                              automorphism_group, grassmannian_points,
-                              h2_action_matrix, orbit_of_point,
-                              orbit_representatives, point_forms)
+from jordannil.orbits import (allowable_points, automorphism_group,
+                              grassmannian_points, h2_action_matrix,
+                              orbit_of_point, orbit_representatives,
+                              point_forms)
 
 
 def act_on_h2(h2, phi, coords):
@@ -170,7 +170,21 @@ def test_grassmannian_counts():
     pts = list(grassmannian_points(3, 1, GF(3)))
     assert len(pts) == 13 and len(set(pts)) == 13
     for pt in pts:
-        assert linalg.rank(GF(3), pt.coords) == 1
+        assert linalg.rank(GF(3), pt) == 1
+
+
+def test_points_are_their_own_rref():
+    # points are plain row tuples in canonical RREF, so a point and the
+    # rref of its rows are the same tuple
+    f3 = GF(3)
+    for pt in grassmannian_points(4, 2, f3):
+        assert pt == linalg.rref(f3, pt)[0]
+    for a, r in ((zero_algebra(f3, 2), 1), (zero_algebra(f3, 2), 2),
+                 (Algebra(f3, 3, {(1, 1, 2): 1}), 2)):
+        _, allowable, reps = orbit_representatives(a, r)
+        assert reps and set(reps) <= set(allowable)
+        for pt in reps:
+            assert type(pt) is tuple and pt == linalg.rref(f3, pt)[0]
 
 
 def test_grassmannian_rejects_bad_input():
@@ -182,12 +196,13 @@ def test_grassmannian_rejects_bad_input():
 
 def test_orbit_representative_examples():
     f3 = GF(3)
-    reps = orbit_representatives(zero_algebra(f3, 1), 1)
-    assert [pt.coords for pt in reps] == [((1,),)]
+    _, _, reps = orbit_representatives(zero_algebra(f3, 1), 1)
+    assert reps == [((1,),)]
     j22 = Algebra(f3, 2, {(1, 1, 2): 1})
-    reps = orbit_representatives(j22, 1)
-    assert [pt.coords for pt in reps] == [((1,),)]   # H² is spanned by S(2,1)
-    assert orbit_representatives(zero_algebra(f3, 1), 2) == []
+    _, _, reps = orbit_representatives(j22, 1)
+    assert reps == [((1,),)]   # H² is spanned by S(2,1)
+    h2, allowable, reps = orbit_representatives(zero_algebra(f3, 1), 2)
+    assert h2.dim == 1 and allowable == [] and reps == []
 
 
 def test_orbits_partition_allowable_points():
@@ -197,7 +212,7 @@ def test_orbits_partition_allowable_points():
     aut = automorphism_group(j21)
     mats = [h2_action_matrix(h2, g) for g in aut.generators]
     allowable = set(allowable_points(j21, h2, 1))
-    reps = orbit_representatives(j21, 1)
+    _, _, reps = orbit_representatives(j21, 1)
     union = set()
     total = 0
     for pt in reps:
@@ -221,8 +236,8 @@ def _reference_orbits(h2, aut, points):
     for pt in points:
         if pt in seen:
             continue
-        orbit = {SubspacePoint(linalg.rref(
-                     f, [linalg.vec_mat(f, row, m) for row in pt.coords])[0])
+        orbit = {linalg.rref(
+                     f, [linalg.vec_mat(f, row, m) for row in pt])[0]
                  for m in mats}
         seen |= orbit
         partition.append((pt, orbit))
@@ -285,7 +300,7 @@ def test_action_matrix_matches_pull_back(a):
             assert linalg.vec_mat(f, v, mat) == act_on_h2(h2, g, v)
         for r in range(1, h2.dim + 1):
             for pt in grassmannian_points(h2.dim, r, f):
-                moved = [linalg.vec_mat(f, row, mat) for row in pt.coords]
+                moved = [linalg.vec_mat(f, row, mat) for row in pt]
                 pulled = [h2.reduce(coh.pull_back(g, b))
                           for b in point_forms(h2, pt)]
                 assert linalg.rref(f, moved) == linalg.rref(f, pulled)
@@ -300,7 +315,7 @@ def test_allowable_stable_under_aut_random():
     pts = allowable_points(j21, h2, 1)
     for pt in pts:
         phi = aut[rnd.randrange(len(aut))]
-        moved = [act_on_h2(h2, phi, row) for row in pt.coords]
+        moved = [act_on_h2(h2, phi, row) for row in pt]
         red, _ = linalg.rref(f2, moved)
         forms = [h2.lift(r) for r in red]
         rad = coh.radical(list(forms))
@@ -311,7 +326,7 @@ def test_point_forms_lift():
     f2 = GF(2)
     j21 = zero_algebra(f2, 2)
     h2 = coh.h2_space(j21)
-    reps = orbit_representatives(j21, 2)
+    _, _, reps = orbit_representatives(j21, 2)
     for pt in reps:
         forms = point_forms(h2, pt)
         assert len(forms) == 2
