@@ -5,14 +5,15 @@ one-dimensional trivial algebra supply the classes with a central component,
 orbit representatives of allowable subspaces of H² supply the central
 extensions without one; by the Skjelbred–Sund theorem no two of them are
 isomorphic.
-brute_force_classes is the independent oracle: enumerate every symmetric
-structure-constant table, filter, and partition by explicit basis changes.
+brute_force_classes is the independent oracle: set the symmetric structure
+constants one product at a time, skip every subtree with a non-nilpotent L_x,
+filter, and partition by explicit basis changes.
 """
 
 from dataclasses import dataclass
 from itertools import product as iproduct
 
-from . import extension, homsearch, orbits
+from . import extension, homsearch, linalg, orbits
 from .algebra import Algebra, fingerprint_key, zero_algebra
 
 
@@ -123,34 +124,12 @@ def classify_dim(n, fld, _memo=None):
 _BRUTE_BOUND = 2_000_000
 
 
-def _table_combo(a, pairs):
-    out = []
-    for i, j in pairs:
-        out.extend(a.table[i - 1][j - 1])
-    return tuple(out)
-
-
-def _rank_is_full(vecs, p, n):
-    rows = [list(v) for v in vecs if any(v)]
-    r = 0
-    for c in range(n):
-        piv = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = pow(rows[r][c], -1, p)
-        for i in range(r + 1, len(rows)):
-            if rows[i][c]:
-                f = (rows[i][c] * inv) % p
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
-        r += 1
-        if r == n:
-            return True
-    return False
+def _is_nilpotent_operator(fld, rows):
+    """True iff the operator e_j ↦ rows[j] satisfies Lⁿ = 0."""
+    power = rows
+    for _ in range(len(rows) - 1):
+        power = linalg.mat_mul(fld, power, rows)
+    return not any(map(any, power))
 
 
 def brute_force_classes(n, fld):
@@ -159,7 +138,7 @@ def brute_force_classes(n, fld):
     if not fld.is_prime_field:
         raise ValueError("the oracle runs over prime fields")
     p = fld.p
-    pairs = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
     slots = len(pairs) * n
     if p ** slots > _BRUTE_BOUND:
         raise InstanceTooLargeError(
@@ -167,27 +146,30 @@ def brute_force_classes(n, fld):
 
     gl = homsearch.find_isomorphisms(zero_algebra(fld, n), zero_algebra(fld, n),
                                      find_all=True)
+    vectors = list(iproduct(range(p), repeat=n))
+    table = [[None] * n for _ in range(n)]
     seen = set()
     reps = []
-    for combo in iproduct(range(p), repeat=slots):
-        if combo in seen:
-            continue
-        vecs = [combo[t * n:(t + 1) * n] for t in range(len(pairs))]
-        if _rank_is_full(vecs, p, n):
-            continue  # J² = J can never be nilpotent
-        consts = {}
-        for t, (i, j) in enumerate(pairs):
-            for k in range(n):
-                c = combo[t * n + k]
-                if c:
-                    consts[(i, j, k + 1)] = c
-        a = Algebra(fld, n, consts)
-        nilpotent, _ = a.is_nilpotent()
-        if not nilpotent or not a.check_jordan():
-            continue
-        reps.append(a)
-        for mat in gl:
-            seen.add(_table_combo(a.change_basis(mat), pairs))
+
+    def walk(t):
+        if t == len(pairs):
+            a = Algebra.from_table(fld, table)
+            if a.table in seen or not a.is_nilpotent()[0] \
+                    or not a.check_jordan():
+                return
+            reps.append(a)
+            seen.update(a.change_basis(mat).table for mat in gl)
+            return
+        i, j = pairs[t]
+        for v in vectors:
+            table[i][j] = table[j][i] = v
+            # With e_i ∘ e_n set, L_{e_i} is complete.  L_x(cᵐ) ⊆ cᵐ⁺¹, so
+            # every L_{e_i} of a nilpotent table is nilpotent.
+            if j == n - 1 and not _is_nilpotent_operator(fld, table[i]):
+                continue
+            walk(t + 1)
+
+    walk(0)
 
     from .files import render_algebra
     order = sorted(range(len(reps)),

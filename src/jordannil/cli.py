@@ -13,7 +13,7 @@ from . import classify as classify_mod
 from . import cohomology, extension, isotest, orbits
 from .field import QQ, GF
 from .files import AlgebraFileError, parse_algebra_file, render_algebra
-from .groebner import PolyRing, ResourceLimitError, buchberger
+from .groebner import Limits, PolyRing, ResourceLimitError, buchberger
 from .classify import InstanceTooLargeError
 
 
@@ -427,11 +427,13 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except InputError as exc:
+        Limits.from_env()
+    except ValueError as exc:  # a malformed JORDAN_LIMITS
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except InstanceTooLargeError as exc:
+    try:
+        return args.func(args)
+    except (InputError, InstanceTooLargeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ResourceLimitError as exc:

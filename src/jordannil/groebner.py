@@ -8,11 +8,11 @@ on intractable input.
 """
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 
 class ResourceLimitError(RuntimeError):
-    """Buchberger exceeded its configured pair/term/basis budget."""
+    """A computation would exceed its budget in Limits."""
 
 
 @dataclass(frozen=True)
@@ -20,23 +20,24 @@ class Limits:
     max_pairs: int = 200_000
     max_terms: int = 100_000
     max_basis: int = 2_000
+    max_points: int = 1_000_000
 
     @classmethod
     def from_env(cls, env=None):
-        """Parse JORDAN_LIMITS, e.g. `pairs=5000,terms=10000,basis=100`."""
+        """Parse JORDAN_LIMITS, e.g. `pairs=5000,terms=10000,points=100`."""
         text = (env if env is not None else os.environ).get("JORDAN_LIMITS", "")
+        names = {f.name for f in fields(cls)}
         values = {}
         for part in text.split(","):
             part = part.strip()
             if not part:
                 continue
             key, _, val = part.partition("=")
-            if key not in ("pairs", "terms", "basis") or not val.isdigit():
+            name = f"max_{key}"
+            if name not in names or not val.isdigit():
                 raise ValueError(f"bad JORDAN_LIMITS entry {part!r}")
-            values[key] = int(val)
-        return cls(max_pairs=values.get("pairs", cls.max_pairs),
-                   max_terms=values.get("terms", cls.max_terms),
-                   max_basis=values.get("basis", cls.max_basis))
+            values[name] = int(val)
+        return cls(**values)
 
 
 # -- monomials ------------------------------------------------------------

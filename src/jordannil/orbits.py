@@ -19,6 +19,7 @@ from math import prod
 from . import cohomology, linalg
 from .algebra import is_isomorphism
 from .field import UnsupportedFieldError
+from .groebner import Limits, ResourceLimitError
 from .homsearch import orbit, stabiliser_chain
 
 
@@ -47,14 +48,27 @@ def automorphism_group(a):
     return AutGroup(a, *stabiliser_chain(a))
 
 
+def gaussian_binomial(n, r, p):
+    """The number of r-dimensional subspaces of F_pⁿ."""
+    return (prod(p ** (n - i) - 1 for i in range(r))
+            // prod(p ** (i + 1) - 1 for i in range(r)))
+
+
 def grassmannian_points(h2_dim, r, field):
     """All r-dimensional subspaces of field^h2_dim, each exactly once, as
     canonical RREF matrices: pivot columns plus free entries right of each
-    row's pivot and off the other pivots."""
+    row's pivot and off the other pivots.  Raises ResourceLimitError before
+    enumerating when their number exceeds the `points` limit."""
     if not field.is_prime_field:
         raise UnsupportedFieldError("cannot enumerate subspaces over Q")
     if not 1 <= r <= h2_dim:
         raise ValueError(f"need 1 <= r <= {h2_dim}, got {r}")
+    count = gaussian_binomial(h2_dim, r, field.p)
+    bound = Limits.from_env().max_points
+    if count > bound:
+        raise ResourceLimitError(
+            f"G({r}, {h2_dim}) over F_{field.p} has {count} points, above "
+            f"the bound {bound} (JORDAN_LIMITS points=N overrides it)")
     p_elems = list(range(field.p))
     for pivots in combinations(range(h2_dim), r):
         pivot_set = set(pivots)

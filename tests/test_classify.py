@@ -1,11 +1,16 @@
+import random
+from itertools import product as iproduct
+
 import pytest
 
-from jordannil import extension, homsearch, tables
-from jordannil.algebra import Algebra, zero_algebra
+from jordannil import extension, homsearch, linalg, tables
+from jordannil.algebra import Algebra, fingerprint_key, zero_algebra
 from jordannil.classify import (InstanceTooLargeError, brute_force_classes,
                                 classify_dim, descendants,
                                 descendants_with_reps, match_classes)
 from jordannil.field import GF, QQ
+from jordannil.files import render_algebra
+from jordannil.isotest import verify_witness
 
 
 def test_descendants_examples():
@@ -97,13 +102,121 @@ def test_brute_force_counts():
         brute_force_classes(2, QQ)
 
 
+def left_power_is_zero(a, i):
+    """L_{e_i}ⁿ = 0, by applying x ↦ e_i ∘ x n times to every basis vector."""
+    f, n = a.field, a.dim
+    e_i = linalg.unit(f, n, i)
+    images = [linalg.unit(f, n, j) for j in range(n)]
+    for _ in range(n):
+        images = [a.product(e_i, x) for x in images]
+    return not any(any(x) for x in images)
+
+
+def random_table(rnd, fld, n):
+    """A sparse random table, or a random basis change of a table with
+    e_i ∘ e_j ∈ span(e_k : k > max(i, j)), which is always nilpotent."""
+    p = fld.p
+    triangular = rnd.random() < 0.5
+    consts = {}
+    for i in range(1, n + 1):
+        for j in range(i, n + 1):
+            for k in range(j + 1 if triangular else 1, n + 1):
+                if rnd.random() < 0.4:
+                    consts[(i, j, k)] = rnd.randrange(1, p)
+    a = Algebra(fld, n, consts)
+    if not triangular:
+        return a
+    while True:
+        mat = tuple(tuple(rnd.randrange(p) for _ in range(n))
+                    for _ in range(n))
+        if linalg.invert(fld, mat) is not None:
+            return a.change_basis(mat)
+
+
+def test_nilpotent_tables_have_nilpotent_left_multiplications():
+    # the oracle's prune: L_x(cᵐ) ⊆ cᵐ⁺¹, so a nilpotent table has every
+    # L_{e_i} nilpotent
+    rnd = random.Random(10)
+    verdicts = set()
+    for p in (2, 3, 5):
+        fld = GF(p)
+        for n in (2, 3, 4):
+            for _ in range(60):
+                a = random_table(rnd, fld, n)
+                nilpotent, _ = a.is_nilpotent()
+                verdicts.add(nilpotent)
+                if nilpotent:
+                    assert all(left_power_is_zero(a, i) for i in range(n)), a
+    assert verdicts == {True, False}
+
+
+def flat_oracle(n, fld, group):
+    """Every table in lexicographic order, then is_nilpotent() and
+    check_jordan(), then the first table of each orbit of the basis changes
+    in group, sorted as brute_force_classes sorts its classes."""
+    p = fld.p
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
+
+    def combo_of(a):
+        return tuple(x for i, j in pairs for x in a.table[i - 1][j - 1])
+
+    seen = set()
+    reps = []
+    for combo in iproduct(range(p), repeat=len(pairs) * n):
+        if combo in seen:
+            continue
+        consts = {(i, j, k + 1): combo[t * n + k]
+                  for t, (i, j) in enumerate(pairs) for k in range(n)
+                  if combo[t * n + k]}
+        a = Algebra(fld, n, consts)
+        if not (a.is_nilpotent()[0] and a.check_jordan()):
+            continue
+        reps.append(a)
+        seen.update(combo_of(a.change_basis(mat)) for mat in group)
+    return sorted(reps, key=lambda a: (fingerprint_key(a.fingerprint()),
+                                       render_algebra(a)))
+
+
+@pytest.mark.parametrize("group", ["gl", "trivial"])
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_brute_force_matches_flat_enumeration(p, group, monkeypatch):
+    # with the trivial group every nilpotent Jordan table is its own class,
+    # so a prune that drops any of them shows
+    fld = GF(p)
+    gl = homsearch.find_isomorphisms(zero_algebra(fld, 2),
+                                     zero_algebra(fld, 2), find_all=True)
+    if group == "trivial":
+        gl = [linalg.identity(fld, 2)]
+        monkeypatch.setattr(homsearch, "find_isomorphisms",
+                            lambda *args, **kwargs: gl)
+    expected = flat_oracle(2, fld, gl)
+    got = brute_force_classes(2, fld).representatives
+    assert [a.table for a in got] == [a.table for a in expected]
+    if group == "gl":
+        assert len(got) == 2
+
+
+def test_brute_force_dim3_f2_representatives():
+    # the first table of each class in enumeration order, as the flat
+    # enumeration (flat_oracle over GL(3, 2), about 20 s) gives them
+    expected = [
+        {(2, 3, 1): 1},
+        {(2, 3, 1): 1, (3, 3, 1): 1},
+        {(2, 3, 1): 1, (3, 3, 2): 1},
+        {(3, 3, 2): 1},
+        {},
+    ]
+    got = brute_force_classes(3, GF(2)).representatives
+    assert [a.constants for a in got] == expected
+
+
 def test_match_classes_dim2():
-    for fld in (GF(2), GF(3)):
+    # up to 7⁶ tables
+    for fld in (GF(2), GF(3), GF(5), GF(7)):
         oracle = brute_force_classes(2, fld)
         pipeline = classify_dim(2, fld)
         matches = match_classes(oracle, pipeline)
         assert sorted(j for _, j, _ in matches) == [0, 1]
-        from jordannil.isotest import verify_witness
         for i, j, witness in matches:
             assert verify_witness(oracle.representatives[i],
                                   pipeline.representatives[j], witness)

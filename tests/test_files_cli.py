@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -205,6 +206,31 @@ def test_cli_orbits_enumerates_allowable_points_once(tmp_path, capsys,
     code, out = run_cli(capsys, "orbits", j21, "--r", "1")
     assert code == 0 and "orbits 2" in out
     assert len(calls) == 1
+
+
+def test_cli_orbits_grassmannian_bound_exits_3(tmp_path, capsys):
+    # G(3, 6) over F_5 has 2 558 556 points, above the default bound
+    zero = write(tmp_path, "zero3.alg", "field F 5\ndim 3\n")
+    t0 = time.perf_counter()
+    assert cli.main(["orbits", zero, "--r", "3"]) == 3
+    assert time.perf_counter() - t0 < 10
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("resource limit: G(3, 6) over F_5 has 2558556 "
+                            "points, above the bound 1000000 "
+                            "(JORDAN_LIMITS points=N overrides it)\n")
+
+
+@pytest.mark.parametrize("argv", [["classify", "--dim", "3", "--field",
+                                   "F:2"], ["gb", "sys.gb"]])
+def test_cli_bad_limits_exit_2(tmp_path, capsys, monkeypatch, argv):
+    write(tmp_path, "sys.gb", "field Q\nvars x y\nx^2 - y\n")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("JORDAN_LIMITS", "points=many")
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: bad JORDAN_LIMITS entry 'points=many'\n"
 
 
 def test_cli_gb(tmp_path, capsys):

@@ -146,6 +146,14 @@ def test_limits_from_env():
         Limits.from_env({"JORDAN_LIMITS": "pairs=ten"})
 
 
+def test_limits_from_env_points():
+    assert Limits().max_points == 1_000_000
+    limits = Limits.from_env({"JORDAN_LIMITS": "points=50,pairs=7"})
+    assert (limits.max_points, limits.max_pairs) == (50, 7)
+    with pytest.raises(ValueError):
+        Limits.from_env({"JORDAN_LIMITS": "points=-1"})
+
+
 def test_parser_and_render():
     ring = PolyRing(QQ, ["a11", "a12", "b"])
     p = ring.parse("3*a11^2*b - 1/2*a12")

@@ -9,9 +9,11 @@ from jordannil import linalg
 from jordannil.algebra import Algebra, is_isomorphism, zero_algebra
 from jordannil.classify import classify_dim
 from jordannil.field import GF, QQ, UnsupportedFieldError
+from jordannil.groebner import ResourceLimitError
 from jordannil.homsearch import find_isomorphisms
 from jordannil.orbits import (allowable_points, automorphism_group,
-                              grassmannian_points, h2_action_matrix,
+                              gaussian_binomial, grassmannian_points,
+                              h2_action_matrix,
                               orbit_of_point, orbit_representatives,
                               point_forms)
 
@@ -185,6 +187,24 @@ def test_points_are_their_own_rref():
         assert reps and set(reps) <= set(allowable)
         for pt in reps:
             assert type(pt) is tuple and pt == linalg.rref(f3, pt)[0]
+
+
+def test_gaussian_binomial_counts_the_points():
+    for n, r, p in ((2, 1, 2), (3, 2, 3), (4, 4, 5), (4, 2, 3), (5, 2, 2)):
+        assert gaussian_binomial(n, r, p) == \
+            len(list(grassmannian_points(n, r, GF(p))))
+    assert gaussian_binomial(6, 3, 5) == 2_558_556
+
+
+def test_grassmannian_bound(monkeypatch):
+    # G(3, 6) over F_5 is refused before any point is made
+    with pytest.raises(ResourceLimitError, match="2558556 points"):
+        next(grassmannian_points(6, 3, GF(5)))
+    monkeypatch.setenv("JORDAN_LIMITS", "points=12")
+    with pytest.raises(ResourceLimitError, match="13 points, above the bound 12"):
+        list(grassmannian_points(3, 2, GF(3)))
+    monkeypatch.setenv("JORDAN_LIMITS", "points=13")
+    assert len(list(grassmannian_points(3, 2, GF(3)))) == 13
 
 
 def test_grassmannian_rejects_bad_input():
