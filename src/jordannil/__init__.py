@@ -13,9 +13,10 @@ from .extension import (CocycleVector, NotACocycleError, central_extension,
                         extension_is_jordan_iff_cocycle, is_allowable)
 from .field import GF, QQ, PrimeField, Rationals, UnsupportedFieldError
 from .files import AlgebraFileError, parse_algebra_file, render_algebra
-from .groebner import (Limits, PolyRing, Polynomial, ResourceLimitError,
-                       buchberger, contains_one, reduce_poly, s_polynomial)
+from .groebner import (PolyRing, Polynomial, buchberger, contains_one,
+                       reduce_poly, s_polynomial)
 from .isotest import IsoVerdict, decide, iso_system, prefilter, verify_witness
+from .limits import Limits, ResourceLimitError
 from .linalg import Subspace
 from .orbits import (AutGroup, automorphism_group, grassmannian_points,
                      orbit_representatives)

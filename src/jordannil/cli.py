@@ -13,7 +13,8 @@ from . import classify as classify_mod
 from . import cohomology, extension, isotest, orbits
 from .field import QQ, GF
 from .files import AlgebraFileError, parse_algebra_file, render_algebra
-from .groebner import Limits, PolyRing, ResourceLimitError, buchberger
+from .groebner import PolyRing, buchberger
+from .limits import Limits, ResourceLimitError
 from .classify import InstanceTooLargeError
 
 
@@ -58,13 +59,6 @@ def _emit_json(obj):
     print(json.dumps(obj, indent=2, sort_keys=True))
 
 
-def _fingerprint_dict(fp):
-    return {"dim": fp.dim, "dim_centre": fp.dim_centre,
-            "dims_lcs": list(fp.dims_lcs), "dim_square": fp.dim_square,
-            "nilindex": fp.nilindex, "is_associative": fp.is_associative,
-            "dim_centre_meet_square": fp.dim_centre_meet_square}
-
-
 def _render_matrix(fld, mat):
     return "\n".join(" ".join(fld.render(x) for x in row) for row in mat)
 
@@ -84,7 +78,7 @@ def cmd_invariants(args):
     a = _read_algebra(args.file)
     fp = a.fingerprint()
     if args.json:
-        _emit_json(_fingerprint_dict(fp))
+        _emit_json(fp._asdict())
         return 0
     print(f"dim: {fp.dim}")
     print(f"centre dim: {fp.dim_centre}")
@@ -152,10 +146,10 @@ def cmd_orbits(args):
 
     if args.json:
         _emit_json({"h2_dim": h2.dim, "r": args.r,
-                    "allowable": len(allowable), "orbits": len(reps),
+                    "allowable": allowable, "orbits": len(reps),
                     "representatives": [rep_text(pt) for pt in reps]})
         return 0
-    print(f"H2 dim {h2.dim}; r={args.r}; allowable {len(allowable)}; "
+    print(f"H2 dim {h2.dim}; r={args.r}; allowable {allowable}; "
           f"orbits {len(reps)}")
     for idx, pt in enumerate(reps, start=1):
         print(f"rep {idx}: {rep_text(pt)}")
@@ -259,7 +253,7 @@ def _emit_classification(result, label, as_json):
             "classes": [{
                 "index": i + 1,
                 "provenance": prov.describe(),
-                "fingerprint": _fingerprint_dict(rep.fingerprint()),
+                "fingerprint": rep.fingerprint()._asdict(),
                 "file": render_algebra(rep),
             } for i, (rep, prov) in enumerate(zip(reps, result.provenance))],
         })

@@ -12,7 +12,8 @@ from itertools import permutations
 
 from . import algebra as algebra_mod
 from . import groebner, homsearch
-from .groebner import PolyRing, ResourceLimitError
+from .groebner import PolyRing
+from .limits import ResourceLimitError
 
 ISOMORPHIC = "isomorphic"
 NON_ISOMORPHIC_OVER_CLOSURE = "non_isomorphic_over_closure"
@@ -22,9 +23,6 @@ RESOURCE_EXCEEDED = "resource_exceeded"
 
 MODE_BASE_FIELD_FIRST = "base"
 MODE_CLOSURE_ONLY = "closure"
-
-_INVARIANT_NAMES = ("dim", "dim_centre", "dims_lcs", "dim_square", "nilindex",
-                    "is_associative", "dim_centre_meet_square")
 
 
 @dataclass(frozen=True)
@@ -40,7 +38,7 @@ class IsoVerdict:
 def prefilter(a, b):
     """Name of the first differing fingerprint invariant, or None."""
     fa, fb = a.fingerprint(), b.fingerprint()
-    for name in _INVARIANT_NAMES:
+    for name in algebra_mod.Fingerprint._fields:
         va, vb = getattr(fa, name), getattr(fb, name)
         if va != vb:
             return f"{name}: {va} != {vb}"

@@ -11,6 +11,10 @@ lexicographically.  Aut(J) acts linearly on H² coordinates: a generator g
 moves a point P to rref(P·A_g), where row k of A_g is the reduced pull-back
 of the k-th H² basis form.  An orbit is the closure of a point under the
 generators (`homsearch.orbit`).
+
+The allowable points U_r(J) form a union of Aut(J)-orbits, so
+`orbit_representatives` walks the orbits of the whole G_r(H²) and runs the
+allowability test once per orbit, on its least point.
 """
 
 from itertools import combinations, product as iproduct
@@ -19,8 +23,8 @@ from math import prod
 from . import cohomology, linalg
 from .algebra import is_isomorphism
 from .field import UnsupportedFieldError
-from .groebner import Limits, ResourceLimitError
 from .homsearch import orbit, stabiliser_chain
+from .limits import Limits, ResourceLimitError
 
 
 class AutGroup:
@@ -90,22 +94,6 @@ def point_forms(h2, pt):
     return tuple(h2.lift(row) for row in pt)
 
 
-def allowable_points(a, h2, r):
-    """U_r(J): points whose forms θ_i = Σ_k c_ik b_k have a joint radical
-    meeting Z(J) = span(z_1..z_m) in 0, i.e. [θ_i(z_s, e_j)] has rank m."""
-    f = a.field
-    # pairing[s][k] = b_k(z_s, ·)
-    pairing = [[linalg.vec_mat(f, z, b.rows) for b in h2.basis]
-               for z in a.centre().rows]
-
-    def allowable(pt):
-        rows = [[x for c in pt for x in linalg.vec_mat(f, c, zb)]
-                for zb in pairing]
-        return linalg.rank(f, rows) == len(pairing)
-
-    return [pt for pt in grassmannian_points(h2.dim, r, f) if allowable(pt)]
-
-
 def h2_action_matrix(h2, g):
     """A_g: row k holds the H² coordinates of the pull-back g·b_k."""
     return tuple(h2.reduce(cohomology.pull_back(g, b)) for b in h2.basis)
@@ -117,25 +105,33 @@ def orbit_of_point(field, mats, pt):
         field, [linalg.vec_mat(field, row, m) for row in p])[0])
 
 
-def orbit_representatives_from(h2, aut, points):
-    """Least point of each Aut-orbit meeting points (an Aut-stable set)."""
-    mats = [h2_action_matrix(h2, g) for g in aut.generators]
-    reps = []
-    visited = set()
-    for pt in points:
-        if pt in visited:
-            continue
-        found = orbit_of_point(h2.field, mats, pt)
-        visited |= found
-        reps.append(min(found))
-    return sorted(reps)
-
-
 def orbit_representatives(a, r):
-    """(H²(J), U_r(J), the least point of each Aut(J)-orbit on U_r(J))."""
+    """(H²(J), |U_r(J)|, the least point of each Aut(J)-orbit on U_r(J)).
+
+    A point is allowable when its forms θ_i = Σ_k c_ik b_k have a joint
+    radical meeting Z(J) = span(z_1..z_m) in 0, i.e. [θ_i(z_s, e_j)] has
+    rank m.  Each orbit of G_r(H²) is closed from its first point in
+    enumeration order and tested on its least point."""
     h2 = cohomology.h2_space(a)
     if r > h2.dim:
-        return h2, [], []
-    allowable = allowable_points(a, h2, r)
-    reps = orbit_representatives_from(h2, automorphism_group(a), allowable)
-    return h2, allowable, reps
+        return h2, 0, []
+    f = a.field
+    # pairing[s][k] = b_k(z_s, ·)
+    pairing = [[linalg.vec_mat(f, z, b.rows) for b in h2.basis]
+               for z in a.centre().rows]
+    mats = [h2_action_matrix(h2, g) for g in automorphism_group(a).generators]
+    allowable = 0
+    reps = []
+    visited = set()
+    for pt in grassmannian_points(h2.dim, r, f):
+        if pt in visited:
+            continue
+        found = orbit_of_point(f, mats, pt)
+        visited |= found
+        rep = min(found)
+        rows = [[x for c in rep for x in linalg.vec_mat(f, c, zb)]
+                for zb in pairing]
+        if linalg.rank(f, rows) == len(pairing):
+            allowable += len(found)
+            reps.append(rep)
+    return h2, allowable, sorted(reps)

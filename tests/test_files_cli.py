@@ -194,17 +194,18 @@ def test_cli_construction_verbs_reject_bad_input(tmp_path, capsys, verb_args,
 
 def test_cli_orbits_enumerates_allowable_points_once(tmp_path, capsys,
                                                      monkeypatch):
+    # the orbit walk enumerates G_r(H²) once and tests one point per orbit
     calls = []
-    original = orbits.allowable_points
+    original = orbits.grassmannian_points
 
     def counting(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(orbits, "allowable_points", counting)
+    monkeypatch.setattr(orbits, "grassmannian_points", counting)
     j21 = write(tmp_path, "j21.alg", "field F 3\ndim 2\n")
     code, out = run_cli(capsys, "orbits", j21, "--r", "1")
-    assert code == 0 and "orbits 2" in out
+    assert code == 0 and "allowable 9" in out and "orbits 2" in out
     assert len(calls) == 1
 
 

@@ -3,9 +3,9 @@ import random
 import pytest
 
 from jordannil.field import GF, QQ
-from jordannil.groebner import (Limits, PolyRing, ResourceLimitError,
-                                buchberger, contains_one, division,
+from jordannil.groebner import (PolyRing, buchberger, contains_one, division,
                                 reduce_poly, s_polynomial)
+from jordannil.limits import Limits, ResourceLimitError
 
 
 def ring_xy(fld=QQ, order="lex"):

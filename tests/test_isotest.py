@@ -190,7 +190,7 @@ def test_decide_symmetric_verdict_kinds():
 
 
 def test_resource_exceeded_verdict(catalog_algebra):
-    from jordannil.groebner import Limits
+    from jordannil.limits import Limits
     a = catalog_algebra("closed", "J_{4,9}")
     b = catalog_algebra("closed", "J_{4,10}")
     v = decide(a, b, limits=Limits(max_pairs=0))

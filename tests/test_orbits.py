@@ -9,11 +9,10 @@ from jordannil import linalg
 from jordannil.algebra import Algebra, is_isomorphism, zero_algebra
 from jordannil.classify import classify_dim
 from jordannil.field import GF, QQ, UnsupportedFieldError
-from jordannil.groebner import ResourceLimitError
+from jordannil.limits import ResourceLimitError
 from jordannil.homsearch import find_isomorphisms
-from jordannil.orbits import (allowable_points, automorphism_group,
-                              gaussian_binomial, grassmannian_points,
-                              h2_action_matrix,
+from jordannil.orbits import (automorphism_group, gaussian_binomial,
+                              grassmannian_points, h2_action_matrix,
                               orbit_of_point, orbit_representatives,
                               point_forms)
 
@@ -30,6 +29,15 @@ def aut_elements(a):
 
 def gl_order(n, p):
     return prod(p ** n - p ** k for k in range(n))
+
+
+def radical_allowable(a, h2, r):
+    """U_r(J) by the radical route: the points of G_r(H²) whose lifted
+    forms have a joint radical meeting Z(J) in 0."""
+    centre = a.centre()
+    return {pt for pt in grassmannian_points(h2.dim, r, a.field)
+            if coh.radical(list(point_forms(h2, pt)))
+            .intersection(centre).is_zero()}
 
 
 def test_aut_group_sizes():
@@ -183,8 +191,8 @@ def test_points_are_their_own_rref():
         assert pt == linalg.rref(f3, pt)[0]
     for a, r in ((zero_algebra(f3, 2), 1), (zero_algebra(f3, 2), 2),
                  (Algebra(f3, 3, {(1, 1, 2): 1}), 2)):
-        _, allowable, reps = orbit_representatives(a, r)
-        assert reps and set(reps) <= set(allowable)
+        h2, _, reps = orbit_representatives(a, r)
+        assert reps and set(reps) <= radical_allowable(a, h2, r)
         for pt in reps:
             assert type(pt) is tuple and pt == linalg.rref(f3, pt)[0]
 
@@ -222,7 +230,7 @@ def test_orbit_representative_examples():
     _, _, reps = orbit_representatives(j22, 1)
     assert reps == [((1,),)]   # H² is spanned by S(2,1)
     h2, allowable, reps = orbit_representatives(zero_algebra(f3, 1), 2)
-    assert h2.dim == 1 and allowable == [] and reps == []
+    assert h2.dim == 1 and allowable == 0 and reps == []
 
 
 def test_orbits_partition_allowable_points():
@@ -231,8 +239,9 @@ def test_orbits_partition_allowable_points():
     h2 = coh.h2_space(j21)
     aut = automorphism_group(j21)
     mats = [h2_action_matrix(h2, g) for g in aut.generators]
-    allowable = set(allowable_points(j21, h2, 1))
-    _, _, reps = orbit_representatives(j21, 1)
+    allowable = radical_allowable(j21, h2, 1)
+    _, count, reps = orbit_representatives(j21, 1)
+    assert count == len(allowable)
     union = set()
     total = 0
     for pt in reps:
@@ -284,7 +293,7 @@ def test_orbit_of_point_matches_action_matrices(a, r):
     h2 = coh.h2_space(a)
     aut = automorphism_group(a)
     mats = [h2_action_matrix(h2, g) for g in aut.generators]
-    points = allowable_points(a, h2, r)
+    points = sorted(radical_allowable(a, h2, r))
     assert points
     expected = _reference_orbits(h2, aut_elements(a), points)
     orbit_of = {pt: orbit for _, orbit in expected for pt in orbit}
@@ -294,17 +303,63 @@ def test_orbit_of_point_matches_action_matrices(a, r):
         assert orbit_of_point(a.field, mats, pt) == orbit_of[pt]
 
 
+def reference_walk(a, r):
+    """orbit_representatives by the reference routes: U_r from the radical
+    route, cut into BFS orbits from its points; each orbit must lie in U_r
+    (U_r is Aut-stable) and gives its least point."""
+    h2 = coh.h2_space(a)
+    mats = [h2_action_matrix(h2, g) for g in automorphism_group(a).generators]
+    allowable = radical_allowable(a, h2, r)
+    reps = []
+    seen = set()
+    for pt in sorted(allowable):
+        if pt in seen:
+            continue
+        orbit = orbit_of_point(a.field, mats, pt)
+        assert orbit <= allowable, pt
+        seen |= orbit
+        reps.append(min(orbit))
+    return h2, len(seen), sorted(reps)
+
+
+def assert_walk_matches_reference(a, r):
+    h2, count, reps = orbit_representatives(a, r)
+    ref_h2, ref_count, ref_reps = reference_walk(a, r)
+    assert [b.rows for b in h2.basis] == [b.rows for b in ref_h2.basis]
+    assert (count, reps) == (ref_count, ref_reps), (a, r)
+    return gaussian_binomial(h2.dim, r, a.field.p), count
+
+
 @pytest.mark.parametrize("a, r", CASES, ids=CASE_IDS)
 def test_allowable_points_match_radical_route(a, r):
-    # the coordinate rank test against the joint radical of the lifted
-    # forms meeting Z(J), on every Grassmannian point; the cases include
-    # centres of dimension 2 and 3 (zero algebras) and r = 2
-    h2 = coh.h2_space(a)
-    allowable = set(allowable_points(a, h2, r))
-    centre = a.centre()
-    for pt in grassmannian_points(h2.dim, r, a.field):
-        rad = coh.radical(list(point_forms(h2, pt)))
-        assert (pt in allowable) == rad.intersection(centre).is_zero(), pt
+    # the orbit walk tests one point per orbit of G_r(H²); the radical
+    # route tests every point.  The cases include centres of dimension 2
+    # and 3 (zero algebras) and r = 2
+    assert_walk_matches_reference(a, r)
+
+
+# G(2, 6) over F_5 (the dim-3 zero algebra at r = 2) has 508 431 points,
+# too many for the per-point radical route in this suite
+MAX_REFERENCE_POINTS = 20_000
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_orbit_walk_matches_reference(p):
+    fld = GF(p)
+    cases = []
+    for n in (1, 2, 3):
+        for a in classify_dim(n, fld).representatives:
+            h2_dim = coh.h2_space(a).dim
+            cases += [(a, r) for r in range(1, min(2, h2_dim) + 1)
+                      if gaussian_binomial(h2_dim, r, p)
+                      <= MAX_REFERENCE_POINTS]
+    # a dim-4 algebra whose H² (dim 3) has no allowable point: every
+    # cocycle vanishes on the centre span(e_4)
+    cases += [(Algebra(fld, 4, {(1, 1, 2): 1, (2, 3, 4): 1}), r)
+              for r in (1, 2)]
+    sizes = [assert_walk_matches_reference(a, r) for a, r in cases]
+    assert any(0 < count < total for total, count in sizes)
+    assert (gaussian_binomial(3, 1, p), 0) in sizes
 
 
 @pytest.mark.parametrize("a", [zero_algebra(GF(3), 2),
@@ -332,7 +387,7 @@ def test_allowable_stable_under_aut_random():
     j21 = zero_algebra(f2, 2)
     h2 = coh.h2_space(j21)
     aut = aut_elements(j21)
-    pts = allowable_points(j21, h2, 1)
+    pts = sorted(radical_allowable(j21, h2, 1))
     for pt in pts:
         phi = aut[rnd.randrange(len(aut))]
         moved = [act_on_h2(h2, phi, row) for row in pt]
