@@ -35,9 +35,9 @@ def default_labels(n):
 class Algebra:
     """Commutative algebra given by symmetric structure constants."""
 
-    __slots__ = ("field", "dim", "table", "labels", "_cache")
+    __slots__ = ("field", "dim", "table", "_cache")
 
-    def __init__(self, field, dim, constants=None, labels=None):
+    def __init__(self, field, dim, constants=None):
         self.field = field
         self.dim = dim
         rows = [[list([field.zero] * dim) for _ in range(dim)] for _ in range(dim)]
@@ -51,16 +51,14 @@ class Algebra:
                 rows[i - 1][j - 1][k - 1] = c
                 rows[j - 1][i - 1][k - 1] = c
         self.table = tuple(tuple(tuple(v) for v in row) for row in rows)
-        self.labels = tuple(labels) if labels else default_labels(dim)
         self._cache = {}
 
     @classmethod
-    def from_table(cls, field, table, labels=None):
+    def from_table(cls, field, table):
         a = cls.__new__(cls)
         a.field = field
         a.dim = len(table)
         a.table = tuple(tuple(tuple(v) for v in row) for row in table)
-        a.labels = tuple(labels) if labels else default_labels(a.dim)
         a._cache = {}
         return a
 
@@ -86,12 +84,13 @@ class Algebra:
         return hash(self.encode())
 
     def __repr__(self):
+        labels = default_labels(self.dim)
         parts = []
         for (i, j, k), c in sorted(self.constants.items()):
-            lhs = (f"{self.labels[i - 1]}^2" if i == j
-                   else f"{self.labels[i - 1]}*{self.labels[j - 1]}")
+            lhs = (f"{labels[i - 1]}^2" if i == j
+                   else f"{labels[i - 1]}*{labels[j - 1]}")
             coeff = "" if c == self.field.one else f"{self.field.render(c)}*"
-            parts.append(f"{lhs}={coeff}{self.labels[k - 1]}")
+            parts.append(f"{lhs}={coeff}{labels[k - 1]}")
         body = ", ".join(parts) if parts else "zero"
         return f"Algebra({self.field!r}, dim {self.dim}: {body})"
 
@@ -271,7 +270,7 @@ class Algebra:
                 w = self.product(p[i], p[j])
                 row.append(linalg.vec_mat(f, w, pinv))
             table.append(tuple(row))
-        return Algebra.from_table(f, table, self.labels)
+        return Algebra.from_table(f, table)
 
     def direct_sum(self, other):
         if self.field != other.field:

@@ -2,9 +2,10 @@
 
 Monomials are exponent tuples over the ring's fixed variable list.  The
 default order is degree-reverse-lexicographic; lexicographic is available.
-`buchberger` returns the reduced Groebner basis (monic, inter-reduced,
-unique for the order) and raises ResourceLimitError instead of running away
-on intractable input.
+`reduce_poly` is the one normal-form routine.  `buchberger` returns the
+reduced Groebner basis (monic, inter-reduced, unique for the order) and
+raises ResourceLimitError instead of running away on intractable input;
+its budgets come from JORDAN_LIMITS.
 """
 
 from .limits import Limits, ResourceLimitError
@@ -148,15 +149,7 @@ class Polynomial:
         return Polynomial(self.ring, out)
 
     def __sub__(self, other):
-        f = self.ring.field
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            nc = f.sub(out.get(m, f.zero), c)
-            if nc:
-                out[m] = nc
-            elif m in out:
-                del out[m]
-        return Polynomial(self.ring, out)
+        return self + -other
 
     def __neg__(self):
         f = self.ring.field
@@ -295,44 +288,29 @@ def parse_polynomial(ring, text):
     return poly
 
 
-# -- division and Buchberger ----------------------------------------------
+# -- normal form and Buchberger -------------------------------------------
 
 def reduce_poly(f, basis):
     """Full normal form of f modulo basis: no remainder term is divisible
     by any basis lead monomial, and f - result lies in the basis ideal."""
-    return division(f, basis, want_quotients=False)[1]
-
-
-def division(f, basis, want_quotients=True):
-    """Multivariate division: (quotients, remainder) with
-    f = Σ quotients[i]·basis[i] + remainder."""
     ring = f.ring
     fld = ring.field
     key = ring.key
-    data = []
-    for idx, g in enumerate(basis):
-        if g.terms:
-            data.append((idx, g.lead_monomial(), g.lead_coeff(), g.terms))
-    quotients = [{} for _ in basis] if want_quotients else None
+    data = [(g.lead_monomial(), g.lead_coeff(), g.terms)
+            for g in basis if g.terms]
     work = dict(f.terms)
     rem = {}
     while work:
         m = max(work, key=key)
         c = work.pop(m)
-        hit = None
-        for idx, lm, lc, terms in data:
+        for lm, lc, terms in data:
             if mono_divides(lm, m):
-                hit = (idx, lm, lc, terms)
                 break
-        if hit is None:
+        else:
             rem[m] = c
             continue
-        idx, lm, lc, terms = hit
         q = mono_div(m, lm)
         factor = fld.div(c, lc)
-        if want_quotients:
-            prev = quotients[idx].get(q, fld.zero)
-            quotients[idx][q] = fld.add(prev, factor)
         for tm, tc in terms.items():
             if tm == lm:
                 continue
@@ -342,9 +320,7 @@ def division(f, basis, want_quotients=True):
                 work[mm] = nc
             elif mm in work:
                 del work[mm]
-    qpolys = ([Polynomial(ring, qd) for qd in quotients]
-              if want_quotients else None)
-    return qpolys, Polynomial(ring, rem)
+    return Polynomial(ring, rem)
 
 
 def s_polynomial(f, g):
@@ -378,35 +354,29 @@ def _interreduce(polys):
     return current
 
 
-def buchberger(gens, limits=None):
-    """Reduced Groebner basis of ideal(gens) for the generators' ring order."""
+def buchberger(gens):
+    """Reduced Groebner basis of ideal(gens) for the generators' ring order,
+    within the budgets of Limits.from_env()."""
     gens = [g for g in gens if g.terms]
     if not gens:
         return []
     ring = gens[0].ring
-    limits = limits or Limits.from_env()
+    limits = Limits.from_env()
     basis = _interreduce(gens)
     if not basis:
         return []
     key = ring.key
-    lcms = {}
-
-    def lcm_of(i, j):
-        if (i, j) not in lcms:
-            lcms[(i, j)] = mono_lcm(basis[i].lead_monomial(),
-                                    basis[j].lead_monomial())
-        return lcms[(i, j)]
-
-    pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
+    # the open S-pairs (i, j), i < j, each with the lcm of its lead monomials
+    pairs = {(i, j): mono_lcm(basis[i].lead_monomial(), basis[j].lead_monomial())
+             for i in range(len(basis)) for j in range(i + 1, len(basis))}
     processed = 0
     while pairs:
-        i, j = min(pairs, key=lambda ij: (key(lcm_of(*ij)), ij))
-        pairs.discard((i, j))
+        i, j = min(pairs, key=lambda ij: (key(pairs[ij]), ij))
+        lij = pairs.pop((i, j))
         processed += 1
         if processed > limits.max_pairs:
             raise ResourceLimitError(
                 f"S-pair budget exceeded ({limits.max_pairs})")
-        lij = lcm_of(i, j)
         if lij == mono_mul(basis[i].lead_monomial(), basis[j].lead_monomial()):
             continue  # coprime leads reduce to zero
         skip = False
@@ -431,7 +401,9 @@ def buchberger(gens, limits=None):
                 raise ResourceLimitError(
                     f"basis-size budget exceeded ({limits.max_basis})")
             basis.append(r)
-            pairs |= {(u, t) for u in range(t)}
+            lead = r.lead_monomial()
+            pairs.update(((u, t), mono_lcm(basis[u].lead_monomial(), lead))
+                         for u in range(t))
     return _reduced_basis(basis)
 
 

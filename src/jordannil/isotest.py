@@ -1,10 +1,14 @@
 """Deciding isomorphism of structure-constant algebras.
 
-Pipeline: invariant prefilter, a complete backtracking witness search over
-prime fields, then the Groebner route — the structure equations plus the
-slack relation b·det(φ) − 1 have a common zero over the algebraic closure
-iff the reduced basis is not {1}.  Over Q a bounded small-height witness
-search runs before conceding "isomorphic over the closure only".
+Pipeline: invariant prefilter, a witness search, then the Groebner route —
+the structure equations plus the slack relation b·det(φ) − 1 have a common
+zero over the algebraic closure iff the reduced basis is not {1}.  One
+witness step serves every site: the backtracking search, complete over a
+prime field and bounded in height over Q, with an explicit check of what it
+returns that raises InvalidWitnessError under `python -O` too.  Base mode
+runs it before the Groebner route; closure mode over Q runs it after,
+before conceding "isomorphic over the closure only".  The Groebner budgets
+come only from JORDAN_LIMITS.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -34,6 +38,12 @@ class IsoVerdict:
     base_field_conclusive: bool = False
     detail: str = dc_field(default="")
 
+    @property
+    def non_isomorphic(self):
+        """True iff the verdict rules out an isomorphism over the base field:
+        it settles the base-field question and finds no isomorphism."""
+        return self.base_field_conclusive and self.kind != ISOMORPHIC
+
 
 def prefilter(a, b):
     """Name of the first differing fingerprint invariant, or None."""
@@ -45,10 +55,10 @@ def prefilter(a, b):
     return None
 
 
-def iso_ring(n, fld, order="degrevlex"):
+def iso_ring(n, fld):
     names = [f"a{i}{j}" for i in range(1, n + 1) for j in range(1, n + 1)]
     names.append("b")
-    return PolyRing(fld, names, order)
+    return PolyRing(fld, names)
 
 
 def _det_polynomial(ring, n):
@@ -66,7 +76,7 @@ def _det_polynomial(ring, n):
     return out
 
 
-def iso_system(a, b, order="degrevlex"):
+def iso_system(a, b):
     """Structure equations Σ c_{ij}^k a_{km} − Σ γ_{kl}^m a_{ik} a_{jl}
     for i >= j, m = 1..n, plus b·det(a_ij) − 1.  Zero equations are dropped.
     """
@@ -76,7 +86,7 @@ def iso_system(a, b, order="degrevlex"):
         raise ValueError("algebras must share the ground field")
     n = a.dim
     fld = a.field
-    ring = iso_ring(n, fld, order)
+    ring = iso_ring(n, fld)
 
     def avar(i, j):  # 1-based
         return (i - 1) * n + (j - 1)
@@ -111,44 +121,35 @@ def iso_system(a, b, order="degrevlex"):
     return polys
 
 
+def _linear_variable(p):
+    """Least i such that the only term of p involving x_i is c·x_i, or None."""
+    linear = {m.index(1) for m in p.terms if sum(m) == 1}
+    for m in p.terms:
+        if sum(m) != 1:
+            linear.difference_update(i for i, e in enumerate(m) if e)
+    return min(linear, default=None)
+
+
 def eliminate_linear(polys):
     """Substitute away variables x occurring as c·x + (terms without x).
 
     This is an exact change of presentation: 1 is in the original ideal iff
     it is in the reduced one, and the Groebner run gets far fewer variables.
     """
-    if not polys:
-        return []
-    ring = polys[0].ring
-    fld = ring.field
     current = [p for p in polys if p]
     while True:
-        target = None
         for pi, p in enumerate(current):
-            counts = {}
-            for m in p.terms:
-                for vi, e in enumerate(m):
-                    if e:
-                        counts[vi] = counts.get(vi, 0) + (2 if e > 1 else 1)
-            for vi, cnt in sorted(counts.items()):
-                if cnt != 1:
-                    continue
-                mono = [0] * ring.nvars
-                mono[vi] = 1
-                mono = tuple(mono)
-                if mono in p.terms:
-                    target = (pi, vi, mono)
-                    break
-            if target:
+            vi = _linear_variable(p)
+            if vi is not None:
                 break
-        if target is None:
+        else:
             return current
-        pi, vi, mono = target
         p = current.pop(pi)
-        coeff = p.terms[mono]
-        rest = groebner.Polynomial(ring, {m: c for m, c in p.terms.items()
-                                          if m != mono})
-        replacement = rest.scale(fld.neg(fld.inv(coeff)))
+        fld = p.ring.field
+        mono = tuple(int(i == vi) for i in range(p.ring.nvars))
+        rest = groebner.Polynomial(p.ring, {m: c for m, c in p.terms.items()
+                                            if m != mono})
+        replacement = rest.scale(fld.neg(fld.inv(p.terms[mono])))
         current = [q.substitute({vi: replacement}) for q in current]
         current = [q for q in current if q]
 
@@ -168,13 +169,20 @@ class InvalidWitnessError(RuntimeError):
     """A witness search returned a map that is not an isomorphism."""
 
 
-def _check_witness(a, b, witness):
+def _witness(a, b):
+    """A checked witness a -> b, or None: none exists over a prime field,
+    or the bounded search over Q found none."""
+    try:
+        witness = homsearch.find_witness(a, b)
+    except homsearch.SearchBudgetExceeded:
+        return None
     # an explicit check, not an assert: it must run under python -O too
-    if not verify_witness(a, b, witness):
+    if witness is not None and not verify_witness(a, b, witness):
         raise InvalidWitnessError(f"witness {witness} is not an isomorphism")
+    return witness
 
 
-def decide(a, b, mode=MODE_BASE_FIELD_FIRST, limits=None):
+def decide(a, b, mode=MODE_BASE_FIELD_FIRST):
     """Classify the pair: see IsoVerdict kinds for the possible outcomes."""
     if a.field != b.field:
         raise ValueError("algebras must share the ground field")
@@ -185,33 +193,14 @@ def decide(a, b, mode=MODE_BASE_FIELD_FIRST, limits=None):
         return IsoVerdict(DISTINGUISHED, invariant=name,
                           base_field_conclusive=True)
 
-    def q_heuristic():
-        try:
-            return homsearch.find_witness(a, b)
-        except homsearch.SearchBudgetExceeded:
-            return None
-
-    base_conclusive = False
-    q_searched = False
-    if mode == MODE_BASE_FIELD_FIRST:
-        if a.field.is_prime_field:
-            witness = homsearch.find_witness(a, b)
-            if witness is not None:
-                _check_witness(a, b, witness)
-                return IsoVerdict(ISOMORPHIC, witness=witness,
-                                  base_field_conclusive=True)
-            base_conclusive = True  # the search over F_p is exhaustive
-        else:
-            witness = q_heuristic()
-            q_searched = True
-            if witness is not None:
-                _check_witness(a, b, witness)
-                return IsoVerdict(ISOMORPHIC, witness=witness,
-                                  base_field_conclusive=True)
+    searched = mode == MODE_BASE_FIELD_FIRST
+    witness = _witness(a, b) if searched else None
+    if witness is not None:
+        return IsoVerdict(ISOMORPHIC, witness=witness,
+                          base_field_conclusive=True)
 
     try:
-        basis = groebner.buchberger(eliminate_linear(iso_system(a, b)),
-                                    limits=limits)
+        basis = groebner.buchberger(eliminate_linear(iso_system(a, b)))
     except ResourceLimitError as exc:
         return IsoVerdict(RESOURCE_EXCEEDED, detail=str(exc))
     if groebner.contains_one(basis):
@@ -219,16 +208,14 @@ def decide(a, b, mode=MODE_BASE_FIELD_FIRST, limits=None):
                           certificate=tuple(basis),
                           base_field_conclusive=True)
 
-    if not a.field.is_prime_field:
-        witness = None if q_searched else q_heuristic()
-        if witness is not None:
-            _check_witness(a, b, witness)
-            return IsoVerdict(ISOMORPHIC, witness=witness,
-                              base_field_conclusive=True)
+    if a.field.is_prime_field:  # a base-mode search over F_p is exhaustive
         return IsoVerdict(ISOMORPHIC_OVER_CLOSURE,
-                          detail="no base-field witness found (bounded search)")
-
+                          base_field_conclusive=searched,
+                          detail="no base-field witness (exhaustive search)"
+                          if searched else "")
+    witness = None if searched else _witness(a, b)
+    if witness is not None:
+        return IsoVerdict(ISOMORPHIC, witness=witness,
+                          base_field_conclusive=True)
     return IsoVerdict(ISOMORPHIC_OVER_CLOSURE,
-                      base_field_conclusive=base_conclusive,
-                      detail="no base-field witness (exhaustive search)"
-                      if base_conclusive else "")
+                      detail="no base-field witness found (bounded search)")

@@ -115,31 +115,6 @@ def invert(field, m):
     return tuple(tuple(row[n:]) for row in red)
 
 
-def det(field, m):
-    n = len(m)
-    work = [list(r) for r in m]
-    d = field.one
-    for c in range(n):
-        pivot = None
-        for i in range(c, n):
-            if work[i][c]:
-                pivot = i
-                break
-        if pivot is None:
-            return field.zero
-        if pivot != c:
-            work[c], work[pivot] = work[pivot], work[c]
-            d = field.neg(d)
-        d = field.mul(d, work[c][c])
-        inv = field.inv(work[c][c])
-        for i in range(c + 1, n):
-            if work[i][c]:
-                f = field.mul(inv, work[i][c])
-                work[i] = [field.sub(a, field.mul(f, b))
-                           for a, b in zip(work[i], work[c])]
-    return d
-
-
 def reduce_vector(field, v, rref_rows, pivots):
     """Remainder of v after elimination by canonical RREF rows."""
     out = list(v)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import isotest
-from .algebra import Algebra
+from .algebra import Algebra, default_labels
 from .field import QQ, GF
 
 CASES = ("any", "closed", "char2", "real")
@@ -186,7 +186,7 @@ def _verify_entry(entry, a):
         "associative_flag": a.is_associative() == entry.is_associative,
     }
     if entry.centre_labels is not None:
-        idx = {lab: i for i, lab in enumerate(a.labels)}
+        idx = {lab: i for i, lab in enumerate(default_labels(a.dim))}
         want = [tuple(fld.one if i == idx[lab] else fld.zero
                       for i in range(a.dim)) for lab in entry.centre_labels]
         centre = a.centre()
@@ -197,12 +197,11 @@ def _verify_entry(entry, a):
 
 def _certify_pair(a, b, mode):
     verdict = isotest.decide(a, b, mode=mode)
-    if verdict.kind == isotest.DISTINGUISHED:
-        return ("fingerprint", True, verdict.invariant)
-    if verdict.kind == isotest.NON_ISOMORPHIC_OVER_CLOSURE:
-        return ("groebner", True, "reduced basis {1}")
-    if verdict.kind == isotest.ISOMORPHIC_OVER_CLOSURE \
-            and verdict.base_field_conclusive:
+    if verdict.non_isomorphic:
+        if verdict.kind == isotest.DISTINGUISHED:
+            return ("fingerprint", True, verdict.invariant)
+        if verdict.kind == isotest.NON_ISOMORPHIC_OVER_CLOSURE:
+            return ("groebner", True, "reduced basis {1}")
         return ("witness-search", True,
                 "no witness over the base field; merges over the closure")
     if verdict.kind == isotest.RESOURCE_EXCEEDED:

@@ -1,4 +1,5 @@
 import json
+import random
 import time
 from fractions import Fraction
 
@@ -21,6 +22,24 @@ def test_round_trip_fractions():
     text = render_algebra(a)
     assert "2:7/2" in text
     assert parse_algebra_file(text) == a
+
+
+def test_round_trip_random_tables():
+    rnd = random.Random(31)
+    for fld in (QQ, GF(2), GF(5)):
+        for _ in range(20):
+            n = rnd.randint(1, 4)
+            consts = {}
+            for i in range(1, n + 1):
+                for j in range(i, n + 1):
+                    for k in range(1, n + 1):
+                        if rnd.random() < 0.3:
+                            c = rnd.randint(-9, 9) or 1
+                            consts[(i, j, k)] = (
+                                c if fld.is_prime_field
+                                else Fraction(c, rnd.randint(1, 5)))
+            a = Algebra(fld, n, consts)
+            assert parse_algebra_file(render_algebra(a)) == a
 
 
 def test_parse_examples():
@@ -108,6 +127,16 @@ def test_cli_iso_json(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["verdict"] == "non_isomorphic_over_closure"
     assert payload["certificate"] == ["1"]
+
+
+def test_cli_iso_different_dimensions(tmp_path, capsys):
+    a = write(tmp_path, "a.alg", "field F 3\ndim 3\n1 1 : 2:1\n")
+    b = write(tmp_path, "b.alg", "field F 3\ndim 4\n1 1 : 2:1\n")
+    code, out = run_cli(capsys, "iso", a, b, "--json", "--expect", "noniso")
+    assert code == 0
+    assert json.loads(out) == {"verdict": "distinguished",
+                               "base_field_conclusive": True,
+                               "invariant": "dim: 3 != 4"}
 
 
 def test_cli_classify_and_determinism(capsys):

@@ -1,9 +1,10 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from jordannil.field import GF, QQ
-from jordannil.groebner import (PolyRing, buchberger, contains_one, division,
+from jordannil.groebner import (PolyRing, buchberger, contains_one,
                                 reduce_poly, s_polynomial)
 from jordannil.limits import Limits, ResourceLimitError
 
@@ -48,11 +49,9 @@ def test_division_reexpansion():
             if len(polys) < 2:
                 continue
             f, basis = polys[0], polys[1:]
-            quotients, rem = division(f, basis)
-            total = rem
-            for q, g in zip(quotients, basis):
-                total = total + q * g
-            assert total == f
+            rem = reduce_poly(f, basis)
+            # f - rem lies in the ideal of the basis
+            assert reduce_poly(f - rem, buchberger(basis)).is_zero()
             # remainder terms are irreducible
             for m in rem.terms:
                 for g in basis:
@@ -128,12 +127,14 @@ def test_generators_lie_in_ideal_of_basis():
         assert reduce_poly(p, basis).is_zero()
 
 
-def test_resource_limits():
+def test_resource_limits(monkeypatch):
     ring = PolyRing(QQ, ["x", "y", "z"])
     gens = [ring.parse("x^2+y^2+z^2-1"), ring.parse("x*y+y*z+x*z"),
             ring.parse("x^2*y-z^3+x")]
+    monkeypatch.setenv("JORDAN_LIMITS", "pairs=2")
     with pytest.raises(ResourceLimitError):
-        buchberger(gens, limits=Limits(max_pairs=2))
+        buchberger(gens)
+    monkeypatch.delenv("JORDAN_LIMITS")
     basis = buchberger(gens)
     assert basis and not contains_one(basis)
 
@@ -164,6 +165,18 @@ def test_parser_and_render():
         ring.parse("q + 1")
     with pytest.raises(ValueError):
         ring.parse("")
+
+
+def test_parse_render_round_trip():
+    rnd = random.Random(23)
+    for fld in (QQ, GF(7)):
+        for _ in range(20):
+            ring, polys = random_system(rnd, fld, nvars=4, maxdeg=3)
+            for p in polys:
+                if fld == QQ:
+                    p = p.scale(Fraction(rnd.randint(-9, 9) or 1,
+                                         rnd.randint(1, 5)))
+                assert ring.parse(p.render()) == p
 
 
 def test_orders_differ():

@@ -1,12 +1,19 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import jordannil
 from jordannil import homsearch, isotest, linalg, tables
 from jordannil.algebra import Algebra, is_isomorphism, zero_algebra
 from jordannil.classify import brute_force_classes
 from jordannil.field import GF, QQ
+from jordannil.groebner import PolyRing, buchberger, contains_one
 from jordannil.isotest import (decide, eliminate_linear, iso_system,
                                prefilter, verify_witness)
 
@@ -45,7 +52,6 @@ def test_known_automorphism_solves_system():
 
 
 def test_eliminate_linear_preserves_contains_one(catalog_algebra):
-    from jordannil.groebner import buchberger, contains_one
     pairs = [("J_{3,3}", "J_{3,4}"), ("J_{3,2}", "J_{3,3}")]
     for id1, id2 in pairs:
         a = catalog_algebra("closed", id1)
@@ -54,6 +60,38 @@ def test_eliminate_linear_preserves_contains_one(catalog_algebra):
         raw = contains_one(buchberger(polys))
         reduced = contains_one(buchberger(eliminate_linear(polys)))
         assert raw == reduced
+
+
+def test_eliminate_linear_random_systems():
+    rnd = random.Random(61)
+    outcomes, eliminated = set(), 0
+    for fld in (QQ, GF(5)):
+        ring = PolyRing(fld, ["x", "y", "z", "w"])
+        units = [tuple(int(i == v) for i in range(4)) for v in range(4)]
+        for _ in range(20):
+            polys = []
+            for _ in range(rnd.randint(2, 4)):
+                terms = {}
+                for _ in range(rnd.randint(0, 2)):
+                    terms[rnd.choice(units)] = rnd.randint(1, 4)
+                for _ in range(rnd.randint(1, 2)):
+                    mono = [0] * 4
+                    mono[rnd.randrange(4)] += 1
+                    mono[rnd.randrange(4)] += 1
+                    terms[tuple(mono)] = rnd.randint(1, 4)
+                if rnd.random() < 0.5:
+                    terms[(0, 0, 0, 0)] = rnd.randint(1, 4)
+                polys.append(ring.poly(terms))
+            reduced = eliminate_linear(polys)
+            eliminated += len(reduced) < len(polys)
+            one = contains_one(buchberger(polys))
+            assert contains_one(buchberger(reduced)) == one
+            outcomes.add(one)
+            # no variable is left whose only term in a polynomial is c·x
+            for p in reduced:
+                for v, unit in enumerate(units):
+                    assert [m for m in p.terms if m[v]] != [unit]
+    assert outcomes == {False, True} and eliminated
 
 
 def test_decide_reflexive(catalog_algebra):
@@ -115,6 +153,30 @@ def test_decide_rejects_invalid_witness(monkeypatch, fld, mode):
     monkeypatch.setattr(isotest, "verify_witness", lambda a, b, phi: False)
     with pytest.raises(isotest.InvalidWitnessError):
         decide(a, a, mode=mode)
+
+
+def test_decide_rejects_invalid_witness_under_python_O():
+    # `python -O` strips asserts and `if __debug__:` blocks alike
+    script = textwrap.dedent("""
+        from jordannil import isotest
+        from jordannil.algebra import Algebra
+        from jordannil.field import GF, QQ
+        print(__debug__)
+        isotest.verify_witness = lambda a, b, phi: False
+        for fld, mode in ((GF(3), "base"), (QQ, "base"), (QQ, "closure")):
+            a = Algebra(fld, 3, {(1, 1, 2): 1, (1, 2, 3): 1})
+            try:
+                isotest.decide(a, a, mode=mode)
+                print("accepted")
+            except isotest.InvalidWitnessError:
+                print("raised")
+    """)
+    src = str(Path(jordannil.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "raised", "raised", "raised"]
 
 
 def test_decide_modes():
@@ -189,10 +251,10 @@ def test_decide_symmetric_verdict_kinds():
             assert forward.kind == backward.kind
 
 
-def test_resource_exceeded_verdict(catalog_algebra):
-    from jordannil.limits import Limits
+def test_resource_exceeded_verdict(catalog_algebra, monkeypatch):
     a = catalog_algebra("closed", "J_{4,9}")
     b = catalog_algebra("closed", "J_{4,10}")
-    v = decide(a, b, limits=Limits(max_pairs=0))
+    monkeypatch.setenv("JORDAN_LIMITS", "pairs=0")
+    v = decide(a, b)
     assert v.kind == isotest.RESOURCE_EXCEEDED
     assert "budget" in v.detail

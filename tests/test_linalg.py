@@ -33,12 +33,6 @@ def test_invert():
     assert linalg.invert(f, ((1, 2), (2, 4))) is None
 
 
-def test_det():
-    assert linalg.det(QQ, ((Fraction(1), Fraction(1)),
-                           (Fraction(1), Fraction(-1)))) == -2
-    assert linalg.det(GF(3), ((1, 2), (2, 1))) == 0
-
-
 def test_subspace_equality_and_ops():
     f = GF(3)
     u = Subspace(f, 3, [(1, 0, 0), (0, 1, 0)])
