@@ -8,10 +8,13 @@
 Unlisted products are zero, indices are 1-based, coefficients use the
 scalar syntax of the header field (`-3`, `7/2` over Q; integers mod p).
 `#` starts a comment; listing the same unordered product twice is an error.
+A `dim` above the `dim` bound of JORDAN_LIMITS raises ResourceLimitError
+before any table is allocated.
 """
 
 from .algebra import Algebra
 from .field import QQ, GF
+from .limits import Limits, ResourceLimitError
 
 
 class AlgebraFileError(ValueError):
@@ -56,6 +59,11 @@ def parse_algebra_file(text):
     if len(parts) != 2 or parts[0] != "dim" or not parts[1].isdigit():
         raise AlgebraFileError(no, "expected `dim <n>`")
     dim = int(parts[1])
+    bound = Limits.from_env().max_dim
+    if dim > bound:
+        raise ResourceLimitError(
+            f"line {no}: dim {dim} is above the bound {bound} "
+            "(JORDAN_LIMITS dim=N overrides it)")
 
     consts = {}
     listed = set()

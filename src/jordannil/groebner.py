@@ -2,11 +2,17 @@
 
 Monomials are exponent tuples over the ring's fixed variable list.  The
 default order is degree-reverse-lexicographic; lexicographic is available.
-`reduce_poly` is the one normal-form routine.  `buchberger` returns the
-reduced Groebner basis (monic, inter-reduced, unique for the order) and
-raises ResourceLimitError instead of running away on intractable input;
-its budgets come from JORDAN_LIMITS.
+`reduce_poly` is the one normal-form routine; it pops lead terms from a
+heap under the order's descending key, with lazy deletion of cancelled
+terms.  `buchberger` keeps the open S-pairs in a heap keyed once by
+(order key of the lcm, (i, j)) and pops the least, the normal selection
+strategy (Cox, Little and O'Shea, ch. 2 §§9–10).  It returns the reduced
+Groebner basis (monic, inter-reduced, unique for the order) and raises
+ResourceLimitError instead of running away on intractable input; its
+budgets come from JORDAN_LIMITS.
 """
+
+from heapq import heapify, heappop, heappush
 
 from .limits import Limits, ResourceLimitError
 
@@ -33,17 +39,28 @@ def lex_key(m):
     return m
 
 
+def lex_desc_key(m):
+    return tuple(-e for e in m)
+
+
 def degrevlex_key(m):
     return (sum(m), tuple(-e for e in reversed(m)))
 
 
-ORDERS = {"lex": lex_key, "degrevlex": degrevlex_key}
+def degrevlex_desc_key(m):
+    return (-sum(m), m[::-1])
+
+
+# order name -> (ascending key, descending key): the descending key sorts
+# the largest monomial first, as heapq pops it
+ORDERS = {"lex": (lex_key, lex_desc_key),
+          "degrevlex": (degrevlex_key, degrevlex_desc_key)}
 
 
 class PolyRing:
     """Polynomial ring: a field, named variables and a monomial order."""
 
-    __slots__ = ("field", "names", "order", "key", "_index")
+    __slots__ = ("field", "names", "order", "key", "desc_key", "_index")
 
     def __init__(self, field, names, order="degrevlex"):
         if order not in ORDERS:
@@ -57,7 +74,7 @@ class PolyRing:
         self.field = field
         self.names = names
         self.order = order
-        self.key = ORDERS[order]
+        self.key, self.desc_key = ORDERS[order]
         self._index = {name: i for i, name in enumerate(self.names)}
 
     @property
@@ -295,14 +312,20 @@ def reduce_poly(f, basis):
     by any basis lead monomial, and f - result lies in the basis ideal."""
     ring = f.ring
     fld = ring.field
-    key = ring.key
+    desc = ring.desc_key
     data = [(g.lead_monomial(), g.lead_coeff(), g.terms)
             for g in basis if g.terms]
     work = dict(f.terms)
+    # every monomial that enters work is pushed once; a cancelled one stays
+    # in the heap and is skipped when popped
+    heap = [(desc(m), m) for m in work]
+    heapify(heap)
     rem = {}
-    while work:
-        m = max(work, key=key)
-        c = work.pop(m)
+    while heap:
+        m = heappop(heap)[1]
+        c = work.pop(m, None)
+        if c is None:
+            continue
         for lm, lc, terms in data:
             if mono_divides(lm, m):
                 break
@@ -315,11 +338,16 @@ def reduce_poly(f, basis):
             if tm == lm:
                 continue
             mm = mono_mul(tm, q)
-            nc = fld.sub(work.get(mm, fld.zero), fld.mul(factor, tc))
-            if nc:
-                work[mm] = nc
-            elif mm in work:
-                del work[mm]
+            old = work.get(mm)
+            if old is None:
+                work[mm] = fld.neg(fld.mul(factor, tc))
+                heappush(heap, (desc(mm), mm))
+            else:
+                nc = fld.sub(old, fld.mul(factor, tc))
+                if nc:
+                    work[mm] = nc
+                else:
+                    del work[mm]
     return Polynomial(ring, rem)
 
 
@@ -369,9 +397,12 @@ def buchberger(gens):
     # the open S-pairs (i, j), i < j, each with the lcm of its lead monomials
     pairs = {(i, j): mono_lcm(basis[i].lead_monomial(), basis[j].lead_monomial())
              for i in range(len(basis)) for j in range(i + 1, len(basis))}
+    # the same pairs, each pushed once, popped least (key(lcm), (i, j)) first
+    queue = [(key(lij), ij) for ij, lij in pairs.items()]
+    heapify(queue)
     processed = 0
-    while pairs:
-        i, j = min(pairs, key=lambda ij: (key(pairs[ij]), ij))
+    while queue:
+        i, j = heappop(queue)[1]
         lij = pairs.pop((i, j))
         processed += 1
         if processed > limits.max_pairs:
@@ -402,8 +433,10 @@ def buchberger(gens):
                     f"basis-size budget exceeded ({limits.max_basis})")
             basis.append(r)
             lead = r.lead_monomial()
-            pairs.update(((u, t), mono_lcm(basis[u].lead_monomial(), lead))
-                         for u in range(t))
+            for u in range(t):
+                lut = mono_lcm(basis[u].lead_monomial(), lead)
+                pairs[(u, t)] = lut
+                heappush(queue, (key(lut), (u, t)))
     return _reduced_basis(basis)
 
 

@@ -18,6 +18,7 @@ class Limits:
     max_terms: int = 100_000
     max_basis: int = 2_000
     max_points: int = 1_000_000
+    max_dim: int = 24
 
     @classmethod
     def from_env(cls, env=None):

@@ -251,6 +251,27 @@ def test_cli_orbits_grassmannian_bound_exits_3(tmp_path, capsys):
                             "(JORDAN_LIMITS points=N overrides it)\n")
 
 
+def test_cli_check_dim_bound_exits_3(tmp_path, capsys, monkeypatch):
+    # dim 400 would allocate a 400³ table before the bound
+    big = write(tmp_path, "big.alg", "field F 2\n# header\ndim 400\n")
+    t0 = time.perf_counter()
+    assert cli.main(["check", big]) == 3
+    assert time.perf_counter() - t0 < 10
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("resource limit: line 3: dim 400 is above the "
+                            "bound 24 (JORDAN_LIMITS dim=N overrides it)\n")
+    # the bound applies to every verb that reads an algebra file
+    assert cli.main(["invariants", big]) == 3
+    # and JORDAN_LIMITS moves it both ways
+    zero7 = write(tmp_path, "zero7.alg", "field F 5\ndim 7\n")
+    monkeypatch.setenv("JORDAN_LIMITS", "dim=6")
+    assert cli.main(["check", zero7]) == 3
+    monkeypatch.setenv("JORDAN_LIMITS", "dim=7")
+    code, out = run_cli(capsys, "check", zero7)
+    assert code == 0 and out.startswith("Jordan: yes")
+
+
 @pytest.mark.parametrize("argv", [["classify", "--dim", "3", "--field",
                                    "F:2"], ["gb", "sys.gb"]])
 def test_cli_bad_limits_exit_2(tmp_path, capsys, monkeypatch, argv):

@@ -5,6 +5,7 @@ import pytest
 
 from jordannil.field import GF, QQ
 from jordannil.groebner import (PolyRing, buchberger, contains_one,
+                                mono_div, mono_divides, mono_lcm, mono_mul,
                                 reduce_poly, s_polynomial)
 from jordannil.limits import Limits, ResourceLimitError
 
@@ -13,9 +14,12 @@ def ring_xy(fld=QQ, order="lex"):
     return PolyRing(fld, ["x", "y"], order)
 
 
-def random_system(rnd, fld, nvars=3, npolys=3, maxdeg=2):
+ORDER_NAMES = ("degrevlex", "lex")
+
+
+def random_system(rnd, fld, nvars=3, npolys=3, maxdeg=2, order="degrevlex"):
     names = ["x", "y", "z", "w"][:nvars]
-    ring = PolyRing(fld, names)
+    ring = PolyRing(fld, names, order)
     polys = []
     for _ in range(npolys):
         terms = {}
@@ -42,22 +46,23 @@ def test_reduce_examples():
 
 
 def test_division_reexpansion():
-    rnd = random.Random(77)
-    for fld in (QQ, GF(5)):
-        for _ in range(15):
-            ring, polys = random_system(rnd, fld)
-            if len(polys) < 2:
-                continue
-            f, basis = polys[0], polys[1:]
-            rem = reduce_poly(f, basis)
-            # f - rem lies in the ideal of the basis
-            assert reduce_poly(f - rem, buchberger(basis)).is_zero()
-            # remainder terms are irreducible
-            for m in rem.terms:
-                for g in basis:
-                    if g:
-                        assert not all(a <= b for a, b in
-                                       zip(g.lead_monomial(), m))
+    for order in ORDER_NAMES:
+        rnd = random.Random(77)
+        for fld in (QQ, GF(5)):
+            for _ in range(15):
+                ring, polys = random_system(rnd, fld, order=order)
+                if len(polys) < 2:
+                    continue
+                f, basis = polys[0], polys[1:]
+                rem = reduce_poly(f, basis)
+                # f - rem lies in the ideal of the basis
+                assert reduce_poly(f - rem, buchberger(basis)).is_zero()
+                # remainder terms are irreducible
+                for m in rem.terms:
+                    for g in basis:
+                        if g:
+                            assert not all(a <= b for a, b in
+                                           zip(g.lead_monomial(), m))
 
 
 def test_s_polynomial_examples():
@@ -92,31 +97,33 @@ def test_contains_one():
 
 
 def test_every_s_pair_reduces_to_zero():
-    rnd = random.Random(41)
-    for fld in (QQ, GF(3)):
-        for _ in range(10):
-            ring, polys = random_system(rnd, fld)
-            if not polys:
-                continue
-            basis = buchberger(polys)
-            for i in range(len(basis)):
-                for j in range(i + 1, len(basis)):
-                    s = s_polynomial(basis[i], basis[j])
-                    assert reduce_poly(s, basis).is_zero()
+    for order in ORDER_NAMES:
+        rnd = random.Random(41)
+        for fld in (QQ, GF(3)):
+            for _ in range(10):
+                ring, polys = random_system(rnd, fld, order=order)
+                if not polys:
+                    continue
+                basis = buchberger(polys)
+                for i in range(len(basis)):
+                    for j in range(i + 1, len(basis)):
+                        s = s_polynomial(basis[i], basis[j])
+                        assert reduce_poly(s, basis).is_zero()
 
 
 def test_reduced_basis_unique_under_permutation():
-    rnd = random.Random(55)
-    for trial in range(20):
-        fld = QQ if trial % 2 else GF(5)
-        ring, polys = random_system(rnd, fld)
-        if len(polys) < 2:
-            continue
-        b1 = buchberger(polys)
-        shuffled = polys[:]
-        rnd.shuffle(shuffled)
-        b2 = buchberger(shuffled)
-        assert b1 == b2
+    for order in ORDER_NAMES:
+        rnd = random.Random(55)
+        for trial in range(20):
+            fld = QQ if trial % 2 else GF(5)
+            ring, polys = random_system(rnd, fld, order=order)
+            if len(polys) < 2:
+                continue
+            b1 = buchberger(polys)
+            shuffled = polys[:]
+            rnd.shuffle(shuffled)
+            b2 = buchberger(shuffled)
+            assert b1 == b2
 
 
 def test_generators_lie_in_ideal_of_basis():
@@ -137,6 +144,133 @@ def test_resource_limits(monkeypatch):
     monkeypatch.delenv("JORDAN_LIMITS")
     basis = buchberger(gens)
     assert basis and not contains_one(basis)
+
+
+# -- reference: the linear scans that the pair and term heaps replaced -----
+
+def scan_reduce_poly(f, basis):
+    """reduce_poly with each lead term found by a max scan over the terms
+    left to reduce."""
+    ring = f.ring
+    fld = ring.field
+    data = [(g.lead_monomial(), g.lead_coeff(), g.terms)
+            for g in basis if g.terms]
+    work = dict(f.terms)
+    rem = {}
+    while work:
+        m = max(work, key=ring.key)
+        c = work.pop(m)
+        for lm, lc, terms in data:
+            if mono_divides(lm, m):
+                break
+        else:
+            rem[m] = c
+            continue
+        q = mono_div(m, lm)
+        factor = fld.div(c, lc)
+        for tm, tc in terms.items():
+            if tm == lm:
+                continue
+            mm = mono_mul(tm, q)
+            nc = fld.sub(work.get(mm, fld.zero), fld.mul(factor, tc))
+            if nc:
+                work[mm] = nc
+            elif mm in work:
+                del work[mm]
+    return ring.poly(rem)
+
+
+def scan_interreduce(polys):
+    current = [p.monic() for p in polys if p.terms]
+    i = 0
+    while i < len(current):
+        p = current[i]
+        r = scan_reduce_poly(p, current[:i] + current[i + 1:])
+        if not r.terms:
+            current.pop(i)
+            i = 0
+        elif r.terms != p.terms:
+            current[i] = r.monic()
+            i = 0
+        else:
+            i += 1
+    return current
+
+
+def scan_buchberger(gens):
+    """(reduced basis, processed S-pairs, most terms of a nonzero S-pair
+    remainder) of buchberger with each S-pair chosen by a min scan over the
+    open pairs, keyed by (key(lcm), (i, j))."""
+    basis = scan_interreduce(gens)
+    if not basis:
+        return [], 0, 0
+    key = basis[0].ring.key
+    pairs = {(i, j): mono_lcm(basis[i].lead_monomial(), basis[j].lead_monomial())
+             for i in range(len(basis)) for j in range(i + 1, len(basis))}
+    processed = most_terms = 0
+    while pairs:
+        i, j = min(pairs, key=lambda ij: (key(pairs[ij]), ij))
+        lij = pairs.pop((i, j))
+        processed += 1
+        if lij == mono_mul(basis[i].lead_monomial(), basis[j].lead_monomial()):
+            continue
+        if any(k not in (i, j)
+               and mono_divides(basis[k].lead_monomial(), lij)
+               and (min(i, k), max(i, k)) not in pairs
+               and (min(j, k), max(j, k)) not in pairs
+               for k in range(len(basis))):
+            continue
+        r = scan_reduce_poly(s_polynomial(basis[i], basis[j]), basis)
+        if r.terms:
+            most_terms = max(most_terms, len(r.terms))
+            r = r.monic()
+            t = len(basis)
+            basis.append(r)
+            pairs.update(((u, t), mono_lcm(basis[u].lead_monomial(),
+                                           r.lead_monomial()))
+                         for u in range(t))
+    minimal = []
+    for g in sorted(basis, key=lambda g: key(g.lead_monomial())):
+        if not any(mono_divides(h.lead_monomial(), g.lead_monomial())
+                   for h in minimal):
+            minimal.append(g)
+    out = [scan_reduce_poly(g, minimal[:i] + minimal[i + 1:]).monic()
+           for i, g in enumerate(minimal)]
+    return sorted((g for g in out if g.terms),
+                  key=lambda g: key(g.lead_monomial())), processed, most_terms
+
+
+def test_heaps_keep_the_scan_selection(monkeypatch):
+    """Same reduced basis and normal forms as the linear scans, and the same
+    budget outcomes: the least N with JORDAN_LIMITS=pairs=N (the processed
+    pairs) or terms=N that does not raise is the reference's.  On these
+    seeded systems the counts also move when ties between equal lcms are
+    popped in reverse (j, i) order."""
+    rnd = random.Random(3)
+    counts = []
+    for order in ORDER_NAMES:
+        for fld in (QQ, GF(3), GF(7)):
+            for _ in range(16):
+                ring, polys = random_system(rnd, fld, nvars=rnd.randint(2, 4),
+                                            npolys=rnd.randint(3, 5),
+                                            maxdeg=3, order=order)
+                if not polys:
+                    continue
+                want, processed, most_terms = scan_buchberger(polys)
+                counts.append(processed)
+                for budget, least in (("pairs", processed),
+                                      ("terms", most_terms)):
+                    monkeypatch.setenv("JORDAN_LIMITS", f"{budget}={least}")
+                    assert buchberger(polys) == want
+                    if least:
+                        monkeypatch.setenv("JORDAN_LIMITS",
+                                           f"{budget}={least - 1}")
+                        with pytest.raises(ResourceLimitError):
+                            buchberger(polys)
+                f = polys[0] * polys[-1] + polys[len(polys) // 2]
+                for basis in (polys[1:], want):
+                    assert reduce_poly(f, basis) == scan_reduce_poly(f, basis)
+    assert len(counts) > 80 and max(counts) > 100
 
 
 def test_limits_from_env():

@@ -11,7 +11,7 @@ import pytest
 import jordannil
 from jordannil import homsearch, isotest, linalg, tables
 from jordannil.algebra import Algebra, is_isomorphism, zero_algebra
-from jordannil.classify import brute_force_classes
+from jordannil.classify import brute_force_classes, classify_dim
 from jordannil.field import GF, QQ
 from jordannil.groebner import PolyRing, buchberger, contains_one
 from jordannil.isotest import (decide, eliminate_linear, iso_system,
@@ -111,6 +111,21 @@ def test_decide_nonisomorphic_over_closure(catalog_algebra):
     assert [g.render() for g in v.certificate] == ["1"]
     w = decide(b, a)
     assert w.kind == v.kind
+
+
+def test_j45_closure_pair_over_f3(catalog_algebra):
+    # J_{4,5} and the class of classify_dim(4, F_3) with its fingerprint:
+    # the largest Groebner call of matching the dim-4 catalog over closures
+    f3 = GF(3)
+    j45 = catalog_algebra("closed", "J_{4,5}", f3)
+    same = [r for r in classify_dim(4, f3).representatives
+            if r.fingerprint() == j45.fingerprint()]
+    assert len(same) == 1
+    v = decide(j45, same[0], mode="closure")
+    assert v.kind == isotest.ISOMORPHIC_OVER_CLOSURE
+    assert v.certificate is None
+    basis = buchberger(eliminate_linear(iso_system(j45, same[0])))
+    assert len(basis) == 30 and not contains_one(basis)
 
 
 def test_decide_square_class_pair():
