@@ -4,9 +4,11 @@ Images of basis vectors are assigned one at a time, most-constrained index
 first.  After every assignment the product constraints
 phi(e_i) ∘ phi(e_j) = Σ_k c_{ij}^k phi(e_k) are propagated: a constraint whose
 right side has exactly one unassigned image forces that image; contradictions
-prune.  Images are kept linearly independent by eliminating each new image
-against the echelonized earlier ones, so complete assignments are
-isomorphisms.
+prune.  Propagation works through a worklist of the constraints that mention
+a newly assigned index, and each forced image queues its own constraints;
+the others were settled at the node above.  Images are kept linearly
+independent by eliminating each new image against the echelonized earlier
+ones, so complete assignments are isomorphisms.
 
 Over a prime field the search is exhaustive, and the candidate images of the
 next index i are the solutions of the constraints already linear in
@@ -17,7 +19,18 @@ lexicographic order, which is the order of the full candidate list of F_p^n
 restricted to the images that propagation would not reject; so the search
 returns the same witnesses and automorphism lists as a scan of F_p^n.  Over Q
 it enumerates vectors with entries from QQ_ENTRIES and gives up after
-QQ_NODE_BUDGET nodes, so a "not found" answer is only heuristic there.
+QQ_NODE_BUDGET nodes, so a "not found" answer is only heuristic there.  The
+full candidate list, pⁿ - 1 or 5ⁿ - 1 vectors, raises ResourceLimitError
+before it is built when it exceeds the `points` limit.
+
+Every isomorphism maps J^m (m ≥ 2), the centre Z and Z ∩ J² of a onto those
+of b, so `find_isomorphisms` returns no map at once when their dimensions
+differ, and over a prime field e_i ∈ S(a) iff phi(e_i) ∈ S(b) prunes the
+candidates (de Graaf prunes the same way for nilpotent Lie algebras,
+J. Algebra 309, 2007): the equations of S(b) join the linear system when
+e_i ∈ S(a), and otherwise the candidates in S(b) are dropped.  Pruning
+removes only subtrees without isomorphisms, so the witnesses and
+automorphism lists stay those of the unpruned search.
 
 `find_witness` searches from the side with fewer nonzero structure constants
 and inverts the witness if that is b: the fewer constraints the source has,
@@ -35,9 +48,11 @@ lengths, and its elements are never listed.
 
 from functools import partial
 from itertools import product as iproduct
+from operator import mul
 
 from . import linalg
 from .algebra import is_isomorphism
+from .limits import Limits, ResourceLimitError
 
 
 class SearchBudgetExceeded(Exception):
@@ -58,13 +73,40 @@ def _assignment_order(a):
 
 
 def _candidate_vectors(a):
+    """The nonzero vectors with entries from F_p, or from QQ_ENTRIES over Q.
+
+    Raises ResourceLimitError before allocating when their number exceeds
+    the `points` limit.
+    """
     f = a.field
-    if f.is_prime_field:
-        vecs = [tuple(v) for v in iproduct(range(f.p), repeat=a.dim)]
-    else:
-        entries = [f.of(e) for e in QQ_ENTRIES]
-        vecs = [tuple(v) for v in iproduct(entries, repeat=a.dim)]
-    return [v for v in vecs if any(v)]
+    entries = range(f.p) if f.is_prime_field else [f.of(e) for e in QQ_ENTRIES]
+    count = len(entries) ** a.dim - 1
+    bound = Limits.from_env().max_points
+    if count > bound:
+        raise ResourceLimitError(
+            f"the witness search would list {count} candidate images "
+            f"({len(entries)}^{a.dim} - 1), above the bound {bound} "
+            "(JORDAN_LIMITS points=N overrides it)")
+    return [v for v in iproduct(entries, repeat=a.dim) if any(v)]
+
+
+def _characteristic_pairs(a, b):
+    """(S(a), S(b)) for S = J^m (m >= 2), Z and Z ∩ J².
+
+    Every isomorphism a -> b maps each S(a) onto S(b).  A lower central
+    series that stops early is padded with its last term, which is where it
+    stays, so the pairs line up however long the two series are.
+    """
+    series_a = list(a.lower_central_series())
+    series_b = list(b.lower_central_series())
+    m = max(len(series_a), len(series_b))
+    series_a += series_a[-1:] * (m - len(series_a))
+    series_b += series_b[-1:] * (m - len(series_b))
+    pairs = list(zip(series_a[1:], series_b[1:]))
+    za, zb = a.centre(), b.centre()
+    pairs.append((za, zb))
+    pairs.append((za.intersection(a.square()), zb.intersection(b.square())))
+    return pairs
 
 
 def _solutions(p, n, red, pivots):
@@ -100,7 +142,7 @@ class _Search:
     one node in turn.
     """
 
-    def __init__(self, a, b, find_all):
+    def __init__(self, a, b, find_all, pairs):
         f = a.field
         n = a.dim
         self.b, self.f, self.n = b, f, n
@@ -112,12 +154,35 @@ class _Search:
         self.rows, self.pivots = [], []
         self.nodes = 0
 
+        # watch[k]: the constraints whose status changes when k is assigned
         constraints = {}
+        watch = {k: [] for k in range(n)}
         for i in range(n):
             for j in range(i, n):
-                constraints[(i, j)] = [(k, c) for k, c
-                                       in enumerate(a.table[i][j]) if c]
-        self.constraints = constraints
+                terms = [(k, c) for k, c in enumerate(a.table[i][j]) if c]
+                constraints[(i, j)] = terms
+                for k in {i, j}.union(k for k, _ in terms):
+                    watch[k].append((i, j))
+        self.constraints, self.watch = constraints, watch
+
+        # e_i ∈ S(a) iff phi(e_i) ∈ S(b) for each characteristic pair.  S(b)
+        # is kept as a basis of its annihilator, the h with h·x = 0 on S(b):
+        # `inside[i]` holds those rows, echelonized, as equations of the
+        # system linear_candidates solves, `outside[i]` the bases whose
+        # zeros are dropped from the candidates of e_i
+        inside = {i: [] for i in range(n)}
+        self.outside = {i: [] for i in range(n)}
+        if f.is_prime_field:
+            for sa, sb in dict.fromkeys(pairs):    # equal pairs once
+                if sb.dim in (0, n):
+                    continue             # no nonzero image is excluded
+                ann = linalg.nullspace(f, sb.basis, n)
+                for i in range(n):
+                    if sa.contains(linalg.unit(f, n, i)):
+                        inside[i].extend(h[::-1] + (f.zero,) for h in ann)
+                    else:
+                        self.outside[i].append(ann)
+        self.inside = {i: linalg.rref(f, rows)[0] for i, rows in inside.items()}
 
         # indices with e_i ∘ e_i = 0 can only map to square-zero vectors of
         # b; filtering once keeps deep branches from rescanning the space
@@ -165,7 +230,7 @@ class _Search:
         f, b, n = self.f, self.b, self.n
         assigned = self.assigned
         constraints = self.constraints
-        system = []
+        system = list(self.inside[i])
         for j, w in assigned.items():
             terms = constraints[(min(i, j), max(i, j))]
             if any(k != i and k not in assigned for k, _ in terms):
@@ -188,39 +253,52 @@ class _Search:
         if red_pivots and red_pivots[-1] == n:
             return []                    # inconsistent: prune the node
         if not red:
-            return self.cand_for[i]
-        squares_to_zero = not constraints[(i, i)]
-        return (x for x in _solutions(f.p, n, red, red_pivots) if any(x)
-                and not (squares_to_zero and any(b.product(x, x))))
+            found = self.cand_for[i]    # square-zero filtered already
+        else:
+            found = (x for x in _solutions(f.p, n, red, red_pivots) if any(x))
+        outside = self.outside[i]
+        if outside:
+            # x ∈ S(b) iff h·x = 0 for every h of S(b)'s annihilator
+            p = f.p
+            found = (x for x in found
+                     if all(any(sum(map(mul, h, x)) % p for h in ann)
+                            for ann in outside))
+        if red and not constraints[(i, i)]:
+            found = (x for x in found if not any(b.product(x, x)))
+        return found
 
     def propagate(self, trail):
+        # a worklist of the constraints that the assignments on the trail,
+        # and the images they force, touched; the others were settled when
+        # the node above was propagated
         f, b, n = self.f, self.b, self.n
-        assigned, constraints = self.assigned, self.constraints
-        changed = True
-        while changed:
-            changed = False
-            for (i, j), terms in constraints.items():
-                if i not in assigned or j not in assigned:
-                    continue
-                w = b.product(assigned[i], assigned[j])
-                known = [f.zero] * n
-                unknown = []
-                for k, c in terms:
-                    if k in assigned:
-                        known = linalg.vec_add(
-                            f, known, linalg.vec_scale(f, c, assigned[k]))
-                    else:
-                        unknown.append((k, c))
-                if not unknown:
-                    if tuple(known) != w:
-                        return False
-                elif len(unknown) == 1:
-                    k, c = unknown[0]
-                    img = linalg.vec_scale(
-                        f, f.inv(c), linalg.vec_sub(f, w, known))
-                    if not self.assign(k, img, trail):
-                        return False
-                    changed = True
+        assigned, constraints, watch = self.assigned, self.constraints, self.watch
+        work = dict.fromkeys(key for k in trail for key in watch[k])
+        while work:
+            key = next(iter(work))
+            del work[key]
+            i, j = key
+            if i not in assigned or j not in assigned:
+                continue
+            w = b.product(assigned[i], assigned[j])
+            known = [f.zero] * n
+            unknown = []
+            for k, c in constraints[key]:
+                if k in assigned:
+                    known = linalg.vec_add(
+                        f, known, linalg.vec_scale(f, c, assigned[k]))
+                else:
+                    unknown.append((k, c))
+            if not unknown:
+                if tuple(known) != w:
+                    return False
+            elif len(unknown) == 1:
+                k, c = unknown[0]
+                img = linalg.vec_scale(
+                    f, f.inv(c), linalg.vec_sub(f, w, known))
+                if not self.assign(k, img, trail):
+                    return False
+                work.update(dict.fromkeys(watch[k]))
         return True
 
     def next_index(self):
@@ -275,7 +353,8 @@ def find_isomorphisms(a, b, find_all=False):
     """Matrices (rows = images of a's basis) of isomorphisms a -> b.
 
     Returns a list; with find_all=False it holds at most one witness.
-    Over Q raises SearchBudgetExceeded after QQ_NODE_BUDGET nodes.
+    Over Q raises SearchBudgetExceeded after QQ_NODE_BUDGET nodes.  Raises
+    ResourceLimitError when the candidate list exceeds the `points` limit.
     """
     if a.field != b.field or a.dim != b.dim:
         return []
@@ -285,7 +364,10 @@ def find_isomorphisms(a, b, find_all=False):
         return [()]
     if not find_all and is_isomorphism(a, b, linalg.identity(f, n)):
         return [linalg.identity(f, n)]
-    search = _Search(a, b, find_all)
+    pairs = _characteristic_pairs(a, b)
+    if any(sa.dim != sb.dim for sa, sb in pairs):
+        return []
+    search = _Search(a, b, find_all, pairs)
     search.dfs()
     if not find_all:
         return search.results[:1]
@@ -322,7 +404,7 @@ def stabiliser_chain(a):
     f, n = a.field, a.dim
     ident = linalg.identity(f, n)
     act = partial(linalg.vec_mat, f)
-    search = _Search(a, a, False)
+    search = _Search(a, a, False, _characteristic_pairs(a, a))
     base = []                            # (index, trail) per level
     i = search.next_index()
     while i is not None:

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from jordannil import cli, orbits, tables
+from jordannil import cli, homsearch, orbits, tables
 from jordannil.algebra import Algebra
 from jordannil.field import GF, QQ
 from jordannil.files import AlgebraFileError, parse_algebra_file, render_algebra
@@ -249,6 +249,45 @@ def test_cli_orbits_grassmannian_bound_exits_3(tmp_path, capsys):
     assert captured.err == ("resource limit: G(3, 6) over F_5 has 2558556 "
                             "points, above the bound 1000000 "
                             "(JORDAN_LIMITS points=N overrides it)\n")
+
+
+def _null_filiform(n, relabel):
+    """e_i ∘ e_j = e_{i+j} over Q, with e_k renamed to e_{relabel(k)}."""
+    lines = ["field Q", f"dim {n}"]
+    for i in range(1, n + 1):
+        for j in range(i, n + 1 - i):
+            x, y = sorted((relabel(i), relabel(j)))
+            lines.append(f"{x} {y} : {relabel(i + j)}:1")
+    return "\n".join(lines) + "\n"
+
+
+def test_cli_iso_candidate_bound_exits_3(tmp_path, capsys, monkeypatch):
+    # over Q the witness search lists 5^9 - 1 candidate images at dim 9; the
+    # bound stops it before one is allocated
+    monkeypatch.delenv("JORDAN_LIMITS", raising=False)
+    a = write(tmp_path, "nf9.alg", _null_filiform(9, lambda k: k))
+    b = write(tmp_path, "nf9c.alg", _null_filiform(9, lambda k: k % 9 + 1))
+    t0 = time.perf_counter()
+    assert cli.main(["iso", a, b, "--json"]) == 3
+    assert time.perf_counter() - t0 < 10
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("resource limit: the witness search would list "
+                            "1953124 candidate images (5^9 - 1), above the "
+                            "bound 1000000 (JORDAN_LIMITS points=N overrides "
+                            "it)\n")
+
+    class PastTheBound(Exception):
+        pass
+
+    def listing(*args, **kwargs):
+        raise PastTheBound()
+
+    # with the bound raised the same call goes on to list the candidates
+    monkeypatch.setenv("JORDAN_LIMITS", "points=2000000")
+    monkeypatch.setattr(homsearch, "iproduct", listing)
+    with pytest.raises(PastTheBound):
+        cli.main(["iso", a, b, "--json"])
 
 
 def test_cli_check_dim_bound_exits_3(tmp_path, capsys, monkeypatch):

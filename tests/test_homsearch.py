@@ -1,6 +1,7 @@
 import random
 from functools import partial
 from itertools import product as iproduct
+from math import prod
 
 import pytest
 
@@ -41,6 +42,11 @@ def test_orbit_of_e1_under_gl_generators(p, n):
     assert all(any(v) for v in found)
 
 
+def _closed(entry_id, fld):
+    e = next(e for e in tables.catalog("closed") if e.entry_id == entry_id)
+    return e.algebra(fld)
+
+
 def _closed_dim4_conjugates(p):
     """(entry, J, J in two seeded random bases) for each closed dim-4 entry."""
     fld = GF(p)
@@ -71,3 +77,146 @@ def test_search_from_the_dense_side():
     for entry_id, a, b in _closed_dim4_conjugates(3):
         found = homsearch.find_isomorphisms(b, a)
         assert found and is_isomorphism(b, a, found[0]), entry_id
+
+
+def test_witness_for_the_j412_conjugate():
+    # every image of e_2 in J²(b) is a dead subtree, since e_2 ∉ J²(a);
+    # without the characteristic subspaces this search took 8-11 s
+    a = _closed("J_{4,12}", GF(5))
+    b = a.change_basis(((4, 3, 0, 4), (1, 0, 3, 3), (4, 4, 3, 3),
+                        (3, 3, 1, 2)))
+    assert homsearch.find_isomorphisms(a, b) == [
+        ((0, 4, 0, 4), (0, 1, 0, 3), (1, 4, 0, 4), (0, 0, 2, 4))]
+
+
+def test_mismatched_invariants_skip_the_search(monkeypatch):
+    def entered(self):
+        raise AssertionError("the search ran")
+    monkeypatch.setattr(homsearch._Search, "dfs", entered)
+    # same dim, different J²: the zero algebra against a² = b
+    a, b = zero_algebra(GF(3), 3), _closed("J_{3,2}", GF(3))
+    assert a.fingerprint() != b.fingerprint()
+    for x, y in ((a, b), (b, a)):
+        assert homsearch.find_isomorphisms(x, y) == []
+        assert homsearch.find_isomorphisms(x, y, find_all=True) == []
+        assert homsearch.find_witness(x, y) is None
+
+
+def rescan_propagate(self, trail):
+    """The reference propagation: rescan every constraint until none
+    changes, the search without the worklist of touched constraints."""
+    f, b, n = self.f, self.b, self.n
+    assigned, constraints = self.assigned, self.constraints
+    changed = True
+    while changed:
+        changed = False
+        for (i, j), terms in constraints.items():
+            if i not in assigned or j not in assigned:
+                continue
+            w = b.product(assigned[i], assigned[j])
+            known = [f.zero] * n
+            unknown = []
+            for k, c in terms:
+                if k in assigned:
+                    known = linalg.vec_add(
+                        f, known, linalg.vec_scale(f, c, assigned[k]))
+                else:
+                    unknown.append((k, c))
+            if not unknown:
+                if tuple(known) != w:
+                    return False
+            elif len(unknown) == 1:
+                k, c = unknown[0]
+                img = linalg.vec_scale(
+                    f, f.inv(c), linalg.vec_sub(f, w, known))
+                if not self.assign(k, img, trail):
+                    return False
+                changed = True
+    return True
+
+
+def _counted(monkeypatch, call, reference):
+    """call() and the nodes its searches visited; the reference search has
+    no characteristic subspaces and propagates by rescanning."""
+    searches = []
+
+    class Recorded(homsearch._Search):
+        def __init__(self, *args):
+            super().__init__(*args)
+            searches.append(self)
+
+    with monkeypatch.context() as m:
+        m.setattr(homsearch, "_Search", Recorded)
+        if reference:
+            m.setattr(homsearch, "_characteristic_pairs", lambda a, b: [])
+            m.setattr(Recorded, "propagate", rescan_propagate)
+        out = call()
+    return out, sum(s.nodes for s in searches)
+
+
+def _same_as_reference(monkeypatch, call):
+    found, nodes = _counted(monkeypatch, call, reference=False)
+    expected, ref_nodes = _counted(monkeypatch, call, reference=True)
+    assert found == expected
+    assert nodes <= ref_nodes
+    return found, nodes, ref_nodes
+
+
+def _random_conjugate(a, rng):
+    fld, n = a.field, a.dim
+    while True:
+        m = tuple(tuple(rng.randrange(fld.p) for _ in range(n))
+                  for _ in range(n))
+        if linalg.rank(fld, m) == n:
+            return a.change_basis(m)
+
+
+# find_all lists Aut(a)-many maps; above this order only the first is compared
+_FIND_ALL_ORDER = 2_000
+
+
+def _check_class(monkeypatch, a, targets):
+    """Aut(a) as a stabiliser chain, and the isomorphisms from a to each
+    target: all of them when Aut(a) is small, else the first."""
+    (_, lengths), _, _ = _same_as_reference(
+        monkeypatch, lambda: homsearch.stabiliser_chain(a))
+    find_all = prod(lengths) <= _FIND_ALL_ORDER
+    for b in targets:
+        _same_as_reference(monkeypatch, lambda: homsearch.find_isomorphisms(
+            a, b, find_all=find_all))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_pruned_search_matches_reference_dim3(monkeypatch, p):
+    # every class against a seeded conjugate of every class, its own too
+    rng = random.Random(p)
+    reps = classify_dim(3, GF(p)).representatives
+    conjugates = [_random_conjugate(a, rng) for a in reps]
+    for a in reps:
+        _check_class(monkeypatch, a, conjugates)
+
+
+def test_pruned_search_matches_reference_dim4_f3(monkeypatch):
+    rng = random.Random(4)
+    reps = classify_dim(4, GF(3)).representatives
+    for a in reps:
+        b = _random_conjugate(a, rng)
+        _check_class(monkeypatch, a, [b])
+        _same_as_reference(monkeypatch,
+                           lambda: homsearch.find_isomorphisms(b, a))
+
+
+def test_pruned_search_matches_reference_closed_dim4(monkeypatch):
+    # from the random basis, forced images take part in constraints that
+    # only a re-queue after each forced image checks
+    for _entry_id, a, b in _closed_dim4_conjugates(3):
+        for x, y in ((a, b), (b, a)):
+            _same_as_reference(monkeypatch,
+                               lambda: homsearch.find_isomorphisms(x, y))
+
+
+def test_characteristic_subspaces_prune_j46_to_j48(monkeypatch):
+    a, b = _closed("J_{4,6}", GF(7)), _closed("J_{4,8}", GF(7))
+    found, nodes, ref_nodes = _same_as_reference(
+        monkeypatch, lambda: homsearch.find_isomorphisms(a, b))
+    assert found == [] and nodes < ref_nodes
