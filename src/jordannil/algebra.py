@@ -10,6 +10,7 @@ from itertools import product as iproduct
 import string
 
 from . import linalg
+from .limits import Limits, ResourceLimitError
 from .linalg import Subspace
 
 
@@ -313,10 +314,19 @@ def jordan_points(a):
     F_pⁿ, as a constant.  Elsewhere it is the polynomial identity at the
     generic point x = Σ λ_i e_i; each λ_i has degree ≤ 3 < p there, so this
     is the same as the pointwise identity and as its full linearization.
+    Raises ResourceLimitError before allocating when the pⁿ - 1 points
+    exceed the `points` limit.
     """
     f = a.field
     n = a.dim
     if f.is_prime_field and f.p in (2, 3):
+        count = f.p ** n - 1
+        bound = Limits.from_env().max_points
+        if count > bound:
+            raise ResourceLimitError(
+                f"the Jordan identity would be checked at {count} points "
+                f"({f.p}^{n} - 1), above the bound {bound} "
+                "(JORDAN_LIMITS points=N overrides it)")
         return [{(): x} for x in a.all_vectors() if any(x)]
     return [{tuple(1 if j == i else 0 for j in range(n)): linalg.unit(f, n, i)
              for i in range(n)}]

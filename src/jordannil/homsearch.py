@@ -32,6 +32,14 @@ e_i ∈ S(a), and otherwise the candidates in S(b) are dropped.  Pruning
 removes only subtrees without isomorphisms, so the witnesses and
 automorphism lists stay those of the unpruned search.
 
+The square-zero cone {x : x ∘ x = 0} is a characteristic set: every
+isomorphism maps the cone of a onto that of b.  Over a prime field, for
+a ≠ b, `find_isomorphisms` counts the two cones over F_pⁿ and returns no map
+when their sizes differ.  b's cone is the list the search already draws the
+images of square-zero basis vectors from, so the check costs one count over
+a's candidates.  Over Q the candidates are a box, not all of Qⁿ, so its
+count is no invariant and the check does not run.
+
 `find_witness` searches from the side with fewer nonzero structure constants
 and inverts the witness if that is b: the fewer constraints the source has,
 the fewer images its search needs to try before they force the rest.
@@ -109,6 +117,22 @@ def _characteristic_pairs(a, b):
     return pairs
 
 
+def _square_zero(a, candidates):
+    """The candidates x with x ∘ x = 0 in a."""
+    return [v for v in candidates if not any(a.product(v, v))]
+
+
+def _cones_differ(a, candidates, square_zero_b):
+    """True when the candidates square to zero in a more or less often
+    than in b, whose square-zero candidates are listed in square_zero_b.
+
+    Over F_p it proves a ≇ b (see the module docstring); over Q it proves
+    nothing.
+    """
+    return (sum(1 for v in candidates if not any(a.product(v, v)))
+            != len(square_zero_b))
+
+
 def _solutions(p, n, red, pivots):
     """Solutions of an RREF system over F_p in lexicographic order.
 
@@ -142,7 +166,7 @@ class _Search:
     one node in turn.
     """
 
-    def __init__(self, a, b, find_all, pairs):
+    def __init__(self, a, b, find_all, pairs, candidates, square_zero=None):
         f = a.field
         n = a.dim
         self.b, self.f, self.n = b, f, n
@@ -186,16 +210,13 @@ class _Search:
 
         # indices with e_i ∘ e_i = 0 can only map to square-zero vectors of
         # b; filtering once keeps deep branches from rescanning the space
-        candidates = _candidate_vectors(a)
-        square_zero = None
         cand_for = {}
         for i in range(n):
             if constraints[(i, i)]:
                 cand_for[i] = candidates
             else:
                 if square_zero is None:
-                    square_zero = [v for v in candidates
-                                   if not any(b.product(v, v))]
+                    square_zero = _square_zero(b, candidates)
                 cand_for[i] = square_zero
         self.cand_for = cand_for
 
@@ -367,7 +388,13 @@ def find_isomorphisms(a, b, find_all=False):
     pairs = _characteristic_pairs(a, b)
     if any(sa.dim != sb.dim for sa, sb in pairs):
         return []
-    search = _Search(a, b, find_all, pairs)
+    candidates = _candidate_vectors(a)
+    square_zero = None
+    if f.is_prime_field and a != b:
+        square_zero = _square_zero(b, candidates)
+        if _cones_differ(a, candidates, square_zero):
+            return []
+    search = _Search(a, b, find_all, pairs, candidates, square_zero)
     search.dfs()
     if not find_all:
         return search.results[:1]
@@ -404,7 +431,8 @@ def stabiliser_chain(a):
     f, n = a.field, a.dim
     ident = linalg.identity(f, n)
     act = partial(linalg.vec_mat, f)
-    search = _Search(a, a, False, _characteristic_pairs(a, a))
+    search = _Search(a, a, False, _characteristic_pairs(a, a),
+                     _candidate_vectors(a))
     base = []                            # (index, trail) per level
     i = search.next_index()
     while i is not None:

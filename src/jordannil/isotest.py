@@ -5,10 +5,13 @@ the structure equations plus the slack relation b·det(φ) − 1 have a common
 zero over the algebraic closure iff the reduced basis is not {1}.  One
 witness step serves every site: the backtracking search, complete over a
 prime field and bounded in height over Q, with an explicit check of what it
-returns that raises InvalidWitnessError under `python -O` too.  Base mode
-runs it before the Groebner route; closure mode over Q runs it after,
-before conceding "isomorphic over the closure only".  The Groebner budgets
-come only from JORDAN_LIMITS.
+returns that raises InvalidWitnessError under `python -O` too.  Over a prime
+field the search first compares the dimensions of the characteristic
+subspaces and the sizes of the square-zero cones, and a pair that differs
+there has no witness without any search; the Groebner route still gives its
+{1} certificate.  Base mode runs the witness step before the Groebner route;
+closure mode over Q runs it after, before conceding "isomorphic over the
+closure only".  The Groebner budgets come only from JORDAN_LIMITS.
 """
 
 from dataclasses import dataclass, field as dc_field

@@ -6,9 +6,9 @@ from math import prod
 import pytest
 
 from jordannil import homsearch, linalg, tables
-from jordannil.algebra import is_isomorphism, zero_algebra
+from jordannil.algebra import Algebra, is_isomorphism, zero_algebra
 from jordannil.classify import classify_dim
-from jordannil.field import GF
+from jordannil.field import GF, QQ
 
 
 def _gl(fld, n):
@@ -135,9 +135,14 @@ def rescan_propagate(self, trail):
     return True
 
 
+def _no_cone_check(monkeypatch):
+    monkeypatch.setattr(homsearch, "_cones_differ", lambda *args: False)
+
+
 def _counted(monkeypatch, call, reference):
     """call() and the nodes its searches visited; the reference search has
-    no characteristic subspaces and propagates by rescanning."""
+    no characteristic subspaces and no cone check, and propagates by
+    rescanning."""
     searches = []
 
     class Recorded(homsearch._Search):
@@ -149,6 +154,7 @@ def _counted(monkeypatch, call, reference):
         m.setattr(homsearch, "_Search", Recorded)
         if reference:
             m.setattr(homsearch, "_characteristic_pairs", lambda a, b: [])
+            _no_cone_check(m)
             m.setattr(Recorded, "propagate", rescan_propagate)
         out = call()
     return out, sum(s.nodes for s in searches)
@@ -216,7 +222,53 @@ def test_pruned_search_matches_reference_closed_dim4(monkeypatch):
 
 
 def test_characteristic_subspaces_prune_j46_to_j48(monkeypatch):
+    # the cone check refutes this pair before any search; without it the
+    # pair is an exhaustive refutation
+    _no_cone_check(monkeypatch)
     a, b = _closed("J_{4,6}", GF(7)), _closed("J_{4,8}", GF(7))
     found, nodes, ref_nodes = _same_as_reference(
         monkeypatch, lambda: homsearch.find_isomorphisms(a, b))
     assert found == [] and nodes < ref_nodes
+
+
+@pytest.mark.parametrize("p, x, y", [(7, "J_{4,6}", "J_{4,8}"),
+                                     (5, "J_{4,6}", "J_{4,9}")])
+def test_square_zero_cones_refute_without_search(monkeypatch, p, x, y):
+    def entered(self):
+        raise AssertionError("the search ran")
+    monkeypatch.setattr(homsearch._Search, "dfs", entered)
+    a, b = _closed(x, GF(p)), _closed(y, GF(p))
+    assert a.fingerprint() == b.fingerprint()
+    assert homsearch.find_isomorphisms(a, b) == []
+    assert homsearch.find_isomorphisms(a, b, find_all=True) == []
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_cone_check_passes_conjugates(monkeypatch, p):
+    # isomorphic algebras pass both checks and reach the (stubbed) search
+    rng = random.Random(p)
+    fld = GF(p)
+    pairs = [(a, _random_conjugate(a, rng)) for n in range(1, 5)
+             for a in classify_dim(n, fld).representatives]
+    searched = []
+
+    def entered(self):
+        searched.append(self)
+        return True
+    monkeypatch.setattr(homsearch._Search, "dfs", entered)
+    for a, b in pairs:
+        for x, y in ((a, b), (b, a)):
+            searched.clear()
+            homsearch.find_isomorphisms(x, y, find_all=True)
+            assert searched, (x, y)
+
+
+def test_no_cone_check_over_q():
+    # the Q candidates are a box, not an Aut-invariant set: the two boxes
+    # hold different numbers of square-zero vectors, yet a witness exists
+    a = Algebra(QQ, 3, {(1, 2, 3): 1})
+    b = a.change_basis(((1, 1, -1), (1, 0, -1), (1, -1, 0)))
+    box = homsearch._candidate_vectors(a)
+    assert homsearch._cones_differ(a, box, homsearch._square_zero(b, box))
+    found = homsearch.find_isomorphisms(a, b)
+    assert found and is_isomorphism(a, b, found[0])
