@@ -3,14 +3,10 @@ Jordan algebras over Q and prime fields."""
 
 from .algebra import Algebra, Fingerprint, zero_algebra
 from .tables import CatalogEntry, catalog, catalog_verify
-from .classify import (ClassificationResult, brute_force_classes, classify_dim,
-                       descendants, match_classes)
+from .classify import ClassificationResult, brute_force_classes, classify_dim
 from .cohomology import (BilinearForm, FormSpace, coboundary_space,
                          cocycle_space, dual_form, h2_space, pull_back, radical)
-from .extension import (CocycleVector, NotACocycleError, central_extension,
-                        centre_of_extension_decomposition,
-                        cohomologous_extensions_isomorphic,
-                        extension_is_jordan_iff_cocycle, is_allowable)
+from .extension import central_extension, centre_of_extension_decomposition
 from .field import GF, QQ, PrimeField, Rationals, UnsupportedFieldError
 from .files import AlgebraFileError, parse_algebra_file, render_algebra
 from .groebner import (PolyRing, Polynomial, buchberger, contains_one,

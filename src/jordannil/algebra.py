@@ -10,7 +10,7 @@ from itertools import product as iproduct
 import string
 
 from . import linalg
-from .limits import Limits, ResourceLimitError
+from .limits import check_points
 from .linalg import Subspace
 
 
@@ -283,24 +283,6 @@ class Algebra:
             consts[(i + n, j + n, k + n)] = c
         return Algebra(f, n + m, consts)
 
-    def quotient_by_centre(self):
-        """J / Z(J) on the basis vectors complementary to the centre pivots."""
-        f = self.field
-        z = self.centre()
-        keep = [c for c in range(self.dim) if c not in set(z.pivots)]
-        pos = {c: t for t, c in enumerate(keep)}
-        m = len(keep)
-        table = []
-        for a in keep:
-            row = []
-            for b in keep:
-                w = z.reduce(self.table[a][b])
-                row.append(tuple(w[c] for c in keep))
-                if any(w[c] for c in range(self.dim) if c not in pos):
-                    raise AssertionError("centre reduction left pivot support")
-            table.append(tuple(row))
-        return Algebra.from_table(f, table)
-
 
 def zero_algebra(field, n):
     return Algebra(field, n)
@@ -321,12 +303,8 @@ def jordan_points(a):
     n = a.dim
     if f.is_prime_field and f.p in (2, 3):
         count = f.p ** n - 1
-        bound = Limits.from_env().max_points
-        if count > bound:
-            raise ResourceLimitError(
-                f"the Jordan identity would be checked at {count} points "
-                f"({f.p}^{n} - 1), above the bound {bound} "
-                "(JORDAN_LIMITS points=N overrides it)")
+        check_points(count, f"the Jordan identity would be checked at "
+                            f"{count} points ({f.p}^{n} - 1)")
         return [{(): x} for x in a.all_vectors() if any(x)]
     return [{tuple(1 if j == i else 0 for j in range(n)): linalg.unit(f, n, i)
              for i in range(n)}]

@@ -63,19 +63,13 @@ def descendants_with_reps(a, r):
     out = []
     for rep in reps:
         # lifts of H² coordinates lie in Z² by construction
-        vec = extension.CocycleVector(a, orbits.point_forms(h2, rep),
-                                      validate=False)
-        ext = extension.central_extension(a, vec, validate=False)
-        _, flag = extension.centre_of_extension_decomposition(a, vec, ext)
+        forms = orbits.point_forms(h2, rep)
+        ext = extension.central_extension(a, forms)
+        _, flag = extension.centre_of_extension_decomposition(a, forms, ext)
         if not flag:
             raise AssertionError("centre decomposition failed on a descendant")
         out.append((ext, rep))
     return out
-
-
-def descendants(a, r):
-    """Step-r descendants of a: central extensions without central component."""
-    return [ext for ext, _ in descendants_with_reps(a, r)]
 
 
 def classify_dim(n, fld, _memo=None):
@@ -179,32 +173,3 @@ def brute_force_classes(n, fld):
         n, fld,
         tuple(reps[i] for i in order),
         tuple(Provenance("oracle") for _ in order))
-
-
-def match_classes(result_a, result_b):
-    """Bijection between two classifications with explicit witnesses.
-
-    Returns [(i, j, witness)] with witness mapping result_a.representatives[i]
-    onto result_b.representatives[j]; raises if no bijection exists.
-    """
-    if len(result_a) != len(result_b):
-        raise AssertionError(
-            f"class counts differ: {len(result_a)} vs {len(result_b)}")
-    matches = []
-    used = set()
-    for i, a in enumerate(result_a.representatives):
-        found = None
-        for j, b in enumerate(result_b.representatives):
-            if j in used:
-                continue
-            if a.fingerprint() != b.fingerprint():
-                continue
-            witness = homsearch.find_witness(a, b)
-            if witness is not None:
-                found = (j, witness)
-                break
-        if found is None:
-            raise AssertionError(f"representative {i} matches nothing")
-        used.add(found[0])
-        matches.append((i, found[0], found[1]))
-    return matches

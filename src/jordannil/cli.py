@@ -124,11 +124,12 @@ def cmd_extend(args):
             comps.append(cohomology.parse_form_combo(a.field, a.dim, part))
         except ValueError as exc:
             raise InputError(f"bad --theta: {exc}") from exc
-    try:
-        ext = extension.central_extension(a, comps)
-    except extension.NotACocycleError as exc:
-        raise InputError(str(exc)) from exc
-    sys.stdout.write(render_algebra(ext))
+    z2 = cohomology.cocycle_space(a)
+    for t, form in enumerate(comps):
+        if not z2.contains(form):
+            raise InputError(
+                f"component {t + 1} violates the cocycle identity")
+    sys.stdout.write(render_algebra(extension.central_extension(a, comps)))
     return 0
 
 

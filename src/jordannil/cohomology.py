@@ -51,18 +51,6 @@ class BilinearForm:
     def vectorize(self):
         return tuple(self.rows[i - 1][j - 1] for i, j in triangle_pairs(self.n))
 
-    def evaluate(self, x, y):
-        f = self.field
-        acc = f.zero
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            row = self.rows[i]
-            for j, yj in enumerate(y):
-                if yj and row[j]:
-                    acc = f.add(acc, f.mul(xi, f.mul(row[j], yj)))
-        return acc
-
     def is_zero(self):
         return not any(any(r) for r in self.rows)
 
@@ -100,16 +88,6 @@ def dual_form(field, n, i, j):
     rows[i - 1][j - 1] = field.one
     rows[j - 1][i - 1] = field.one
     return BilinearForm(field, rows)
-
-
-def form_from_coeffs(field, n, coeffs):
-    """Σ c_{ij} S(i,j) from {(i, j): c} with i >= j."""
-    vec = [field.zero] * triangle_size(n)
-    for (i, j), c in coeffs.items():
-        if i < j:
-            i, j = j, i
-        vec[triangle_index(i, j)] = field.add(vec[triangle_index(i, j)], field.of(c))
-    return BilinearForm.from_vector(field, n, vec)
 
 
 def render_form(form):
@@ -282,10 +260,8 @@ def h2_space(a):
 
 
 def radical(forms):
-    """θ⊥ = {x : θ(x, ·) = 0}; for several forms, the joint radical."""
-    if isinstance(forms, BilinearForm):
-        forms = [forms]
-    forms = list(forms)
+    """θ⊥ = {x : θ_t(x, ·) = 0 for every t}, the joint radical of a
+    nonempty sequence of forms."""
     field, n = forms[0].field, forms[0].n
     rows = [r for form in forms for r in form.rows]
     return Subspace(field, n, linalg.nullspace(field, rows, n))

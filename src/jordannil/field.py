@@ -6,7 +6,6 @@ there is no floating point anywhere in the package.
 """
 
 from fractions import Fraction
-from math import isqrt
 
 
 class UnsupportedFieldError(ValueError):
@@ -83,20 +82,6 @@ class Rationals(Field):
             raise ZeroDivisionError("inverse of 0")
         return 1 / Fraction(x)
 
-    def is_square(self, x):
-        x = self.of(x)
-        if x < 0:
-            return False
-        n, d = x.numerator, x.denominator
-        return isqrt(n) ** 2 == n and isqrt(d) ** 2 == d
-
-    def square_class_representatives(self):
-        raise UnsupportedFieldError(
-            "Q*/(Q*)^2 is infinite; pass square-class parameters explicitly")
-
-    def elements(self):
-        raise UnsupportedFieldError("cannot enumerate Q")
-
     def parse(self, text):
         text = text.strip()
         try:
@@ -160,24 +145,6 @@ class PrimeField(Field):
         if x % self.p == 0:
             raise ZeroDivisionError("inverse of 0")
         return pow(x, self.p - 2, self.p)
-
-    def is_square(self, x):
-        x = x % self.p
-        if x == 0 or self.p == 2:
-            return True
-        return pow(x, (self.p - 1) // 2, self.p) == 1
-
-    def square_class_representatives(self):
-        # {1} for p = 2, {1, q} with q the smallest non-residue for odd p
-        if self.p == 2:
-            return [1]
-        for q in range(2, self.p):
-            if not self.is_square(q):
-                return [1, q]
-        raise AssertionError("odd prime field without non-residue")
-
-    def elements(self):
-        return iter(range(self.p))
 
     def parse(self, text):
         try:

@@ -23,6 +23,11 @@ class AlgebraFileError(ValueError):
         self.line_no = line_no
 
 
+def _is_digits(text):
+    # str.isdigit also accepts digits such as '²' that int() rejects
+    return text.isascii() and text.isdigit()
+
+
 def _content_lines(text):
     for no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -56,7 +61,7 @@ def parse_algebra_file(text):
         raise AlgebraFileError(no, "missing `dim <n>` line")
     no, dim_line = lines[1]
     parts = dim_line.split()
-    if len(parts) != 2 or parts[0] != "dim" or not parts[1].isdigit():
+    if len(parts) != 2 or parts[0] != "dim" or not _is_digits(parts[1]):
         raise AlgebraFileError(no, "expected `dim <n>`")
     dim = int(parts[1])
     bound = Limits.from_env().max_dim
@@ -72,7 +77,7 @@ def parse_algebra_file(text):
             raise AlgebraFileError(no, "expected `i j : k:coeff ...`")
         head, _, tail = line.partition(":")
         idx = head.split()
-        if len(idx) != 2 or not all(t.lstrip("-").isdigit() for t in idx):
+        if len(idx) != 2 or not all(_is_digits(t.lstrip("-")) for t in idx):
             raise AlgebraFileError(no, f"bad product indices {head.strip()!r}")
         i, j = int(idx[0]), int(idx[1])
         if not (1 <= i <= dim and 1 <= j <= dim):
@@ -88,7 +93,7 @@ def parse_algebra_file(text):
         seen_k = set()
         for term in terms:
             k_txt, sep, c_txt = term.partition(":")
-            if not sep or not k_txt.isdigit():
+            if not sep or not _is_digits(k_txt):
                 raise AlgebraFileError(no, f"bad term {term!r}, expected k:coeff")
             k = int(k_txt)
             if not 1 <= k <= dim:

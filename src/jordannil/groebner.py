@@ -293,7 +293,7 @@ def parse_polynomial(ring, text):
             if name in ring._index:
                 e = 1
                 if caret:
-                    if not exp.isdigit():
+                    if not (exp.isascii() and exp.isdigit()):
                         raise ValueError(f"bad exponent in {factor!r}")
                     e = int(exp)
                 mono[ring._index[name]] += e

@@ -60,7 +60,7 @@ from operator import mul
 
 from . import linalg
 from .algebra import is_isomorphism
-from .limits import Limits, ResourceLimitError
+from .limits import check_points
 
 
 class SearchBudgetExceeded(Exception):
@@ -89,12 +89,8 @@ def _candidate_vectors(a):
     f = a.field
     entries = range(f.p) if f.is_prime_field else [f.of(e) for e in QQ_ENTRIES]
     count = len(entries) ** a.dim - 1
-    bound = Limits.from_env().max_points
-    if count > bound:
-        raise ResourceLimitError(
-            f"the witness search would list {count} candidate images "
-            f"({len(entries)}^{a.dim} - 1), above the bound {bound} "
-            "(JORDAN_LIMITS points=N overrides it)")
+    check_points(count, f"the witness search would list {count} candidate "
+                        f"images ({len(entries)}^{a.dim} - 1)")
     return [v for v in iproduct(entries, repeat=a.dim) if any(v)]
 
 

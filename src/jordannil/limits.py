@@ -32,7 +32,19 @@ class Limits:
                 continue
             key, _, val = part.partition("=")
             name = f"max_{key}"
-            if name not in names or not val.isdigit():
+            if name not in names or not (val.isascii() and val.isdigit()):
                 raise ValueError(f"bad JORDAN_LIMITS entry {part!r}")
             values[name] = int(val)
         return cls(**values)
+
+
+def check_points(count, what):
+    """Raise ResourceLimitError when count exceeds the `points` limit.
+
+    what describes the count, e.g. "G(2, 3) over F_3 has 13 points".
+    """
+    bound = Limits.from_env().max_points
+    if count > bound:
+        raise ResourceLimitError(
+            f"{what}, above the bound {bound} "
+            "(JORDAN_LIMITS points=N overrides it)")

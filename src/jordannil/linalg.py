@@ -152,10 +152,6 @@ class Subspace:
     def reduce(self, v):
         return reduce_vector(self.field, v, self.rows, self.pivots)
 
-    def sum(self, other):
-        return Subspace(self.field, self.ambient_dim,
-                        list(self.rows) + list(other.rows))
-
     def intersection(self, other):
         # solutions (a, b) of a·U - b·V = 0; the a-part spans the meet
         f = self.field
@@ -172,11 +168,6 @@ class Subspace:
                     vec = vec_add(f, vec, vec_scale(f, c, row))
             vectors.append(vec)
         return Subspace(f, self.ambient_dim, vectors)
-
-    def image(self, matrix):
-        """Span of {row · matrix : row in basis}."""
-        return Subspace(self.field, len(matrix[0]) if matrix else 0,
-                        [vec_mat(self.field, r, matrix) for r in self.rows])
 
     def __eq__(self, other):
         return (isinstance(other, Subspace) and self.field == other.field

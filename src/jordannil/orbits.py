@@ -21,10 +21,9 @@ from itertools import combinations, product as iproduct
 from math import prod
 
 from . import cohomology, linalg
-from .algebra import is_isomorphism
 from .field import UnsupportedFieldError
 from .homsearch import orbit, stabiliser_chain
-from .limits import Limits, ResourceLimitError
+from .limits import check_points
 
 
 class AutGroup:
@@ -40,9 +39,6 @@ class AutGroup:
 
     def __len__(self):
         return prod(self.orbit_lengths)
-
-    def __contains__(self, m):
-        return is_isomorphism(self.algebra, self.algebra, m)
 
 
 def automorphism_group(a):
@@ -68,11 +64,8 @@ def grassmannian_points(h2_dim, r, field):
     if not 1 <= r <= h2_dim:
         raise ValueError(f"need 1 <= r <= {h2_dim}, got {r}")
     count = gaussian_binomial(h2_dim, r, field.p)
-    bound = Limits.from_env().max_points
-    if count > bound:
-        raise ResourceLimitError(
-            f"G({r}, {h2_dim}) over F_{field.p} has {count} points, above "
-            f"the bound {bound} (JORDAN_LIMITS points=N overrides it)")
+    check_points(count, f"G({r}, {h2_dim}) over F_{field.p} has {count} "
+                        "points")
     p_elems = list(range(field.p))
     for pivots in combinations(range(h2_dim), r):
         pivot_set = set(pivots)

@@ -8,16 +8,20 @@ import random
 import time
 from functools import lru_cache
 
+import pytest
+
 from jordannil import cohomology as coh
 from jordannil import extension as ext
 from jordannil import isotest, orbits, tables
 from jordannil.algebra import Algebra, zero_algebra
-from jordannil.classify import (brute_force_classes, classify_dim,
-                                descendants_with_reps, match_classes)
+from jordannil.classify import brute_force_classes, classify_dim
 from jordannil.cohomology import coboundary_space, cocycle_space, dual_form
 from jordannil.field import GF, QQ
 from jordannil.groebner import PolyRing, buchberger, contains_one, reduce_poly, \
     s_polynomial
+
+import theory
+from theory import match_classes
 
 
 def report(criterion, ok, detail=""):
@@ -112,8 +116,8 @@ def test_criterion_4_extension_iff_cocycle():
         for _ in range(200):
             coeffs = {(i, j): rnd.randrange(3)
                       for i in range(1, a.dim + 1) for j in range(1, i + 1)}
-            beta = coh.form_from_coeffs(fld, a.dim, coeffs)
-            in_z2, jordan = ext.extension_is_jordan_iff_cocycle(a, beta)
+            beta = theory.form_from_coeffs(fld, a.dim, coeffs)
+            in_z2, jordan = theory.extension_is_jordan_iff_cocycle(a, beta)
             ok &= in_z2 == jordan
             trials += 1
     report(4, ok, f"{trials} random symmetric forms, "
@@ -135,8 +139,8 @@ def test_criterion_5_centre_lemma():
             h2, _, reps = orbits.orbit_representatives(a, r)
             for rep in reps:
                 forms = orbits.point_forms(h2, rep)
-                vec = ext.CocycleVector(a, forms)
-                _, flag = ext.centre_of_extension_decomposition(a, vec)
+                _, flag = ext.centre_of_extension_decomposition(
+                    a, forms, ext.central_extension(a, forms))
                 ok &= flag
                 verified += 1
     # random (not necessarily allowable) cocycles over the F_3 bases
@@ -146,7 +150,8 @@ def test_criterion_5_centre_lemma():
             theta = coh.zero_form(GF(3), a.dim)
             for f in z2.forms:
                 theta = theta.add(f.scale(rnd.randrange(3)))
-            _, flag = ext.centre_of_extension_decomposition(a, theta)
+            _, flag = ext.centre_of_extension_decomposition(
+                a, [theta], ext.central_extension(a, [theta]))
             ok &= flag
             verified += 1
     # the classify pipeline of criteria 1-2 verifies the same lemma on every
@@ -172,8 +177,7 @@ def test_criterion_6_cohomologous_isomorphic():
                 theta = theta.add(f.scale(rnd.randrange(3)))
             comps.append(theta)
         f_rows = [[rnd.randrange(3) for _ in range(r)] for _ in range(a.dim)]
-        ok &= ext.cohomologous_extensions_isomorphic(a, ext.CocycleVector(
-            a, comps, validate=False), f_rows)
+        ok &= theory.cohomologous_extensions_isomorphic(a, comps, f_rows)
         trials += 1
     report(6, ok, f"{trials} random (A, theta, f) triples over F_3")
 
@@ -312,3 +316,42 @@ def test_criterion_11_witness_validity():
     checked += 2
     report(11, ok, f"{checked} witnesses verified, including the explicit "
                    "a->a+b, b->a-b, c->2c basis change")
+
+
+
+def closure_classes(algebras):
+    """Index lists of the classes of algebras over the closure.  Isomorphism
+    over the closure is an equivalence, so each algebra is decided against
+    the first member of each class in its fingerprint bucket."""
+    classes = []
+    for i, a in enumerate(algebras):
+        for c in classes:
+            b = algebras[c[0]]
+            if b.fingerprint() == a.fingerprint() and isotest.decide(
+                    b, a, mode=isotest.MODE_CLOSURE_ONLY).kind != \
+                    isotest.NON_ISOMORPHIC_OVER_CLOSURE:
+                c.append(i)
+                break
+        else:
+            classes.append([i])
+    return classes
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_criterion_12_dim4_closure_classes(p):
+    # the paper's dim 4 over an algebraically closed field of characteristic
+    # != 2: 13 classes, 4 of them non-associative, one per closed entry
+    reps = classified(4, p).representatives
+    entries = tables.catalog("closed", 4)
+    n = len(reps)
+    classes = closure_classes(list(reps) + [e.algebra(GF(p)) for e in entries])
+    forms = [[i for i in c if i < n] for c in classes]
+    ids = [[entries[i - n].entry_id for i in c if i >= n] for c in classes]
+    non_assoc = sum(not reps[f[0]].is_associative() for f in forms if f)
+    split = sorted(i[0] for f, i in zip(forms, ids) if len(f) > 1 and i)
+    # every class holds F_p-forms from the pipeline and exactly one entry
+    ok = (n == 16 and len(classes) == 13 and non_assoc == 4
+          and len(classes) - non_assoc == 9
+          and all(f and len(i) == 1 for f, i in zip(forms, ids)))
+    report(12, ok, f"F_{p}: {n} classes, {len(classes)} over the closure, "
+                   f"{non_assoc} non-associative; split: {split}")

@@ -1,16 +1,18 @@
 import random
+from functools import reduce
 from itertools import product as iproduct
 
 import pytest
 
-from jordannil import extension, homsearch, linalg, tables
+from jordannil import extension, homsearch, isotest, linalg, tables
 from jordannil.algebra import Algebra, fingerprint_key, zero_algebra
 from jordannil.classify import (InstanceTooLargeError, brute_force_classes,
-                                classify_dim, descendants,
-                                descendants_with_reps, match_classes)
+                                classify_dim, descendants_with_reps)
 from jordannil.field import GF, QQ
 from jordannil.files import render_algebra
 from jordannil.isotest import verify_witness
+
+from theory import descendants, match_classes, quotient_by_centre
 
 
 def test_descendants_examples():
@@ -26,9 +28,9 @@ def test_descendants_build_each_extension_once(monkeypatch):
     built = []
     real = extension.central_extension
 
-    def counting(a, theta, validate=True):
-        built.append(theta)
-        return real(a, theta, validate)
+    def counting(a, forms):
+        built.append(forms)
+        return real(a, forms)
 
     monkeypatch.setattr(extension, "central_extension", counting)
     a = zero_algebra(GF(3), 2)
@@ -39,7 +41,7 @@ def test_descendants_build_each_extension_once(monkeypatch):
 def test_descendants_raise_on_centre_lemma_violation(monkeypatch):
     # the check is an explicit raise, so it holds under python -O as well
     monkeypatch.setattr(extension, "centre_of_extension_decomposition",
-                        lambda a, theta, ext=None: (ext.centre(), False))
+                        lambda a, forms, ext: (ext.centre(), False))
     with pytest.raises(AssertionError, match="centre decomposition"):
         descendants_with_reps(zero_algebra(GF(3), 1), 1)
 
@@ -51,7 +53,6 @@ def test_classify_dim_counts(prime_field):
 
 
 def test_classify_output_is_sound(prime_field):
-    from jordannil import isotest
     result = classify_dim(3, prime_field)
     reps = result.representatives
     for a in reps:
@@ -249,6 +250,23 @@ def test_catalog_entries_check_out(all_catalog_entries):
         assert a.is_associative() == entry.is_associative, entry.entry_id
 
 
+def test_catalog_decompositions_are_direct_sums(all_catalog_entries):
+    # "J_{4,3}^{+1} = J_{3,3}^{+1} + J_{1,1}": split on " + ", since the
+    # ids of square-class families contain a "+"
+    checked = 0
+    for case, entry in all_catalog_entries:
+        if not entry.decomposition:
+            continue
+        fld = tables.entry_field(case)
+        ids = {e.entry_id: e for e in tables.catalog(case)}
+        total = reduce(Algebra.direct_sum, [
+            ids[i].algebra(fld) for i in entry.decomposition.split(" + ")])
+        verdict = isotest.decide(total, entry.algebra(fld))
+        assert verdict.kind == isotest.ISOMORPHIC, (case, entry.entry_id)
+        checked += 1
+    assert checked == 18
+
+
 def test_catalog_verify_small_cases():
     rep = tables.catalog_verify("closed", 3)
     assert rep.ok
@@ -285,7 +303,7 @@ def test_descendant_quotient_recovers_parent():
     for parent in parents:
         for r in (1, 2):
             for child in descendants(parent, r):
-                quotient = child.quotient_by_centre()
+                quotient = quotient_by_centre(child)
                 assert homsearch.find_witness(quotient, parent) is not None
 
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from jordannil.field import GF, QQ, PrimeField, UnsupportedFieldError
+from jordannil.field import GF, QQ, PrimeField
 
 
 def test_inverse_examples():
@@ -29,40 +29,6 @@ def test_double_inverse_is_identity():
         x = Fraction(rnd.randint(-30, 30), rnd.randint(1, 30))
         if x:
             assert QQ.inv(QQ.inv(x)) == x
-
-
-def test_is_square_examples():
-    assert GF(5).is_square(0)
-    assert GF(5).is_square(-1)        # 2^2 = 4 = -1 mod 5
-    assert not GF(3).is_square(-1)    # squares mod 3 are {0, 1}
-    assert QQ.is_square(Fraction(4, 9))
-    assert not QQ.is_square(Fraction(2))
-    assert not QQ.is_square(Fraction(-4))
-    assert QQ.is_square(QQ.zero)
-
-
-def test_square_counts_odd_p():
-    for p in (3, 5, 7, 11):
-        f = GF(p)
-        squares = [x for x in range(1, p) if f.is_square(x)]
-        assert len(squares) == (p - 1) // 2
-
-
-def test_square_class_representatives():
-    assert GF(2).square_class_representatives() == [1]
-    assert GF(3).square_class_representatives() == [1, 2]
-    assert GF(5).square_class_representatives() == [1, 2]
-    assert GF(7).square_class_representatives() == [1, 3]
-    with pytest.raises(UnsupportedFieldError):
-        QQ.square_class_representatives()
-
-
-def test_enumerate():
-    assert list(GF(2).elements()) == [0, 1]
-    assert list(GF(3).elements()) == [0, 1, 2]
-    assert len(list(GF(5).elements())) == 5
-    with pytest.raises(UnsupportedFieldError):
-        QQ.elements()
 
 
 def test_field_axioms_random_triples():

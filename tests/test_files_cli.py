@@ -347,6 +347,30 @@ def test_cli_bad_limits_exit_2(tmp_path, capsys, monkeypatch, argv):
     assert captured.err == "error: bad JORDAN_LIMITS entry 'points=many'\n"
 
 
+@pytest.mark.parametrize("verb, text, limits, message", [
+    ("check", "field F 3\ndim \u00b2\n", "",
+     "{path}: line 2: expected `dim <n>`"),
+    ("check", "field F 3\ndim 2\n1 \u00b2 : 2:1\n", "",
+     "{path}: line 3: bad product indices '1 \u00b2'"),
+    ("check", "field F 3\ndim 2\n1 1 : \u00b2:1\n", "",
+     "{path}: line 3: bad term '\u00b2:1', expected k:coeff"),
+    ("check", "field F 3\ndim 2\n", "points=\u00b2",
+     "bad JORDAN_LIMITS entry 'points=\u00b2'"),
+    ("gb", "field Q\nvars x y\nx^\u00b2 - y\n", "",
+     "bad polynomial: bad exponent in 'x^\u00b2'"),
+], ids=["dim", "indices", "term", "limits", "gb-exponent"])
+def test_cli_superscript_digit_exits_2(tmp_path, capsys, monkeypatch, verb,
+                                       text, limits, message):
+    # str.isdigit accepts '²', which int() rejects
+    path = tmp_path / "input.txt"
+    path.write_text(text, encoding="utf-8")
+    monkeypatch.setenv("JORDAN_LIMITS", limits)
+    assert cli.main([verb, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message.format(path=path)}\n"
+
+
 def test_cli_gb(tmp_path, capsys):
     path = write(tmp_path, "sys.gb",
                  "field Q\nvars x y\nx^2 - y\ny^2 - x\n")

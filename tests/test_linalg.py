@@ -42,7 +42,7 @@ def test_subspace_equality_and_ops():
     w = Subspace(f, 3, [(0, 1, 0), (0, 0, 1)])
     meet = u.intersection(w)
     assert meet.dim == 1 and meet.contains((0, 1, 0))
-    assert u.sum(w) == full_space(f, 3)
+    assert Subspace(f, 3, u.rows + w.rows) == full_space(f, 3)
     assert Subspace(f, 3).is_zero()
 
 
@@ -58,4 +58,5 @@ def test_subspace_intersection_random():
         for row in meet.basis:
             assert u.contains(row) and v.contains(row)
         # dim formula: dim(u+v) = dim u + dim v - dim meet
-        assert u.sum(v).dim == u.dim + v.dim - meet.dim
+        assert Subspace(f, 4, u.rows + v.rows).dim == \
+            u.dim + v.dim - meet.dim

@@ -1,0 +1,148 @@
+"""Direct checks of the lemmas the construction relies on without
+re-checking them, and other helpers only the tests use."""
+
+from jordannil import cohomology, homsearch, linalg
+from jordannil.algebra import Algebra, is_isomorphism
+from jordannil.classify import descendants_with_reps
+from jordannil.cohomology import BilinearForm, cocycle_space
+from jordannil.extension import central_extension
+
+
+def evaluate(form, x, y):
+    """θ(x, y) for coordinate vectors x and y."""
+    f = form.field
+    acc = f.zero
+    for i, xi in enumerate(x):
+        if not xi:
+            continue
+        row = form.rows[i]
+        for j, yj in enumerate(y):
+            if yj and row[j]:
+                acc = f.add(acc, f.mul(xi, f.mul(row[j], yj)))
+    return acc
+
+
+def form_from_coeffs(field, n, coeffs):
+    """Σ c_{ij} S(i,j) from {(i, j): c} with i >= j."""
+    vec = [field.zero] * cohomology.triangle_size(n)
+    for (i, j), c in coeffs.items():
+        if i < j:
+            i, j = j, i
+        idx = cohomology.triangle_index(i, j)
+        vec[idx] = field.add(vec[idx], field.of(c))
+    return BilinearForm.from_vector(field, n, vec)
+
+
+def quotient_by_centre(a):
+    """J / Z(J) on the basis vectors complementary to the centre pivots."""
+    z = a.centre()
+    keep = [c for c in range(a.dim) if c not in set(z.pivots)]
+    pos = {c: t for t, c in enumerate(keep)}
+    table = []
+    for x in keep:
+        row = []
+        for y in keep:
+            w = z.reduce(a.table[x][y])
+            row.append(tuple(w[c] for c in keep))
+            if any(w[c] for c in range(a.dim) if c not in pos):
+                raise AssertionError("centre reduction left pivot support")
+        table.append(tuple(row))
+    return Algebra.from_table(a.field, table)
+
+
+def descendants(a, r):
+    """Step-r descendants of a: central extensions without central component."""
+    return [ext for ext, _ in descendants_with_reps(a, r)]
+
+
+def match_classes(result_a, result_b):
+    """Bijection between two classifications with explicit witnesses.
+
+    Returns [(i, j, witness)] with witness mapping result_a.representatives[i]
+    onto result_b.representatives[j]; raises if no bijection exists.
+    """
+    if len(result_a) != len(result_b):
+        raise AssertionError(
+            f"class counts differ: {len(result_a)} vs {len(result_b)}")
+    matches = []
+    used = set()
+    for i, a in enumerate(result_a.representatives):
+        found = None
+        for j, b in enumerate(result_b.representatives):
+            if j in used:
+                continue
+            if a.fingerprint() != b.fingerprint():
+                continue
+            witness = homsearch.find_witness(a, b)
+            if witness is not None:
+                found = (j, witness)
+                break
+        if found is None:
+            raise AssertionError(f"representative {i} matches nothing")
+        used.add(found[0])
+        matches.append((i, found[0], found[1]))
+    return matches
+
+
+def extension_is_jordan_iff_cocycle(a, beta):
+    """(β ∈ Z², J_β is Jordan) for an arbitrary symmetric form β.
+
+    The two booleans agree whenever a itself is a Jordan algebra.
+    """
+    in_z2 = cocycle_space(a).contains(beta)
+    return in_z2, central_extension(a, [beta]).check_jordan()
+
+
+def is_allowable(a, forms):
+    """θ ⊆ Z², its joint radical avoids Z(J), and its images in H² are
+    independent; `H2Space.reduce` rejects a form outside Z²."""
+    if not cohomology.radical(forms).intersection(a.centre()).is_zero():
+        return False
+    h2 = cohomology.h2_space(a)
+    try:
+        coords = [h2.reduce(c) for c in forms]
+    except ValueError:
+        return False
+    return linalg.rank(a.field, coords) == len(forms)
+
+
+def coboundary_of_map(a, f_rows):
+    """δf, one form per V-coordinate, for f: J -> V with rows f(e_i)."""
+    field = a.field
+    n = a.dim
+    r = len(f_rows[0]) if f_rows else 0
+    comps = []
+    for t in range(r):
+        rows = []
+        for i in range(n):
+            row = []
+            for j in range(n):
+                acc = field.zero
+                for k, c in enumerate(a.table[i][j]):
+                    if c:
+                        acc = field.add(acc, field.mul(c, f_rows[k][t]))
+                row.append(acc)
+            rows.append(row)
+        comps.append(BilinearForm(field, rows))
+    return comps
+
+
+def cohomologous_extensions_isomorphic(a, forms, f_rows):
+    """σ(x + v) = x + f(x) + v is an isomorphism J_θ -> J_{θ+δf}."""
+    delta = coboundary_of_map(a, f_rows)
+    if len(delta) != len(forms):
+        raise ValueError("f must map into the same V as θ")
+    field = a.field
+    shifted = [c.add(d) for c, d in zip(forms, delta)]
+    ext1 = central_extension(a, forms)
+    ext2 = central_extension(a, shifted)
+    n, r = a.dim, len(forms)
+    sigma = []
+    for i in range(n):
+        row = list(linalg.unit(field, n + r, i))
+        for t in range(r):
+            row[n + t] = field.of(f_rows[i][t])
+        sigma.append(tuple(row))
+    for t in range(r):
+        sigma.append(linalg.unit(field, n + r, n + t))
+    return is_isomorphism(ext1, ext2, tuple(sigma))
