@@ -175,21 +175,12 @@ class Algebra:
         return out
 
     def is_associative(self):
+        """(e_i e_j) e_k = e_i (e_j e_k) for all basis vectors."""
         if "assoc" not in self._cache:
-            ok = True
-            t = self.table
-            for i in range(self.dim):
-                for j in range(self.dim):
-                    for k in range(self.dim):
-                        if self.product(t[i][j], linalg.unit(self.field, self.dim, k)) \
-                                != self.product_basis(t[j][k], i):
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                if not ok:
-                    break
-            self._cache["assoc"] = ok
+            t, n = self.table, self.dim
+            self._cache["assoc"] = all(
+                self.product_basis(t[i][j], k) == self.product_basis(t[j][k], i)
+                for i in range(n) for j in range(n) for k in range(n))
         return self._cache["assoc"]
 
     # -- invariants -------------------------------------------------------
@@ -221,8 +212,6 @@ class Algebra:
                 if nxt == current:
                     break
                 series.append(nxt)
-                if nxt.is_zero():
-                    break
             self._cache["lcs"] = series
         return self._cache["lcs"]
 

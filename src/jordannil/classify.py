@@ -7,7 +7,8 @@ extensions without one; by the Skjelbred–Sund theorem no two of them are
 isomorphic.
 brute_force_classes is the independent oracle: set the symmetric structure
 constants one product at a time, skip every subtree with a non-nilpotent L_x,
-filter, and partition by explicit basis changes.
+filter, and mark each class as the orbit of its first table under the
+generators of GL(n, p), the stabiliser chain of the zero algebra.
 """
 
 from dataclasses import dataclass
@@ -15,6 +16,7 @@ from itertools import product as iproduct
 
 from . import extension, homsearch, linalg, orbits
 from .algebra import Algebra, fingerprint_key, zero_algebra
+from .files import render_algebra
 
 
 class InstanceTooLargeError(ValueError):
@@ -72,6 +74,10 @@ def descendants_with_reps(a, r):
     return out
 
 
+def _class_order(a):
+    return fingerprint_key(a.fingerprint()), render_algebra(a)
+
+
 def classify_dim(n, fld, _memo=None):
     """All nilpotent Jordan algebras of dimension n over F_p, up to isomorphism."""
     if not fld.is_prime_field:
@@ -102,9 +108,7 @@ def classify_dim(n, fld, _memo=None):
     # Skjelbred–Sund: the candidates are pairwise non-isomorphic (direct
     # sums by their parts without a central component, extensions by their
     # Aut-orbits), so no isomorphism test runs between them.
-    from .files import render_algebra
-    candidates.sort(key=lambda cp: (fingerprint_key(cp[0].fingerprint()),
-                                    render_algebra(cp[0])))
+    candidates.sort(key=lambda cp: _class_order(cp[0]))
     result = ClassificationResult(
         n, fld,
         tuple(c for c, _ in candidates),
@@ -128,7 +132,8 @@ def _is_nilpotent_operator(fld, rows):
 
 def brute_force_classes(n, fld):
     """Oracle: enumerate all symmetric tables, filter Jordan + nilpotent,
-    partition into isomorphism classes by explicit GL(n, p) basis changes."""
+    partition into isomorphism classes by closing each new table under the
+    GL(n, p) generators."""
     if not fld.is_prime_field:
         raise ValueError("the oracle runs over prime fields")
     p = fld.p
@@ -138,8 +143,11 @@ def brute_force_classes(n, fld):
         raise InstanceTooLargeError(
             f"{p}^{slots} tables exceed the oracle bound {_BRUTE_BOUND}")
 
-    gl = homsearch.find_isomorphisms(zero_algebra(fld, n), zero_algebra(fld, n),
-                                     find_all=True)
+    gl, _ = homsearch.stabiliser_chain(zero_algebra(fld, n))
+
+    def act(t, g):
+        return Algebra.from_table(fld, t).change_basis(g).table
+
     vectors = list(iproduct(range(p), repeat=n))
     table = [[None] * n for _ in range(n)]
     seen = set()
@@ -152,7 +160,7 @@ def brute_force_classes(n, fld):
                     or not a.check_jordan():
                 return
             reps.append(a)
-            seen.update(a.change_basis(mat).table for mat in gl)
+            seen.update(homsearch.orbit(a.table, gl, act))
             return
         i, j = pairs[t]
         for v in vectors:
@@ -164,12 +172,6 @@ def brute_force_classes(n, fld):
             walk(t + 1)
 
     walk(0)
-
-    from .files import render_algebra
-    order = sorted(range(len(reps)),
-                   key=lambda i: (fingerprint_key(reps[i].fingerprint()),
-                                  render_algebra(reps[i])))
+    reps.sort(key=_class_order)
     return ClassificationResult(
-        n, fld,
-        tuple(reps[i] for i in order),
-        tuple(Provenance("oracle") for _ in order))
+        n, fld, tuple(reps), tuple(Provenance("oracle") for _ in reps))

@@ -93,30 +93,32 @@ def cmd_invariants(args):
 def cmd_cocycles(args):
     a = _read_nilpotent_jordan(args.file)
     h2 = cohomology.h2_space(a)
+    spaces = {title: [cohomology.render_form(f) for f in forms]
+              for title, forms in (("Z2", h2.z2.forms),
+                                   ("dC1", h2.coboundaries.forms),
+                                   ("H2", h2.basis))}
     if args.json:
-        _emit_json({
-            "Z2": {"dim": h2.z2.dim,
-                   "basis": [cohomology.render_form(f) for f in h2.z2.forms]},
-            "dC1": {"dim": h2.coboundaries.dim,
-                    "basis": [cohomology.render_form(f)
-                              for f in h2.coboundaries.forms]},
-            "H2": {"dim": h2.dim,
-                   "basis": [cohomology.render_form(f) for f in h2.basis]},
-        })
+        _emit_json({title: {"dim": len(basis), "basis": basis}
+                    for title, basis in spaces.items()})
         return 0
-    for title, dim, forms in (("Z2", h2.z2.dim, h2.z2.forms),
-                              ("dC1", h2.coboundaries.dim, h2.coboundaries.forms),
-                              ("H2", h2.dim, h2.basis)):
-        print(f"{title} dim {dim}:")
-        for f in forms:
-            print(f"  {cohomology.render_form(f)}")
+    for title, basis in spaces.items():
+        print(f"{title} dim {len(basis)}:")
+        for text in basis:
+            print(f"  {text}")
     return 0
 
 
 def cmd_extend(args):
     a = _read_nilpotent_jordan(args.file)
+    parts = args.theta.split(";")
+    dim, bound = a.dim + len(parts), Limits.from_env().max_dim
+    if dim > bound:
+        raise ResourceLimitError(
+            f"the extension has dim {dim} ({a.dim} + {len(parts)} --theta "
+            f"components), above the bound {bound} "
+            "(JORDAN_LIMITS dim=N overrides it)")
     comps = []
-    for part in args.theta.split(";"):
+    for part in parts:
         part = part.strip()
         if not part:
             raise InputError("empty cocycle component in --theta")

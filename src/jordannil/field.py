@@ -12,18 +12,27 @@ class UnsupportedFieldError(ValueError):
     """Raised when an operation needs a field kind it does not support."""
 
 
+# Miller–Rabin on the first 13 prime bases is exact below MR_BOUND, the least
+# strong pseudoprime to all of them (Sorenson and Webster, Math. Comp. 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n):
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    """Exact primality for n < MR_BOUND by deterministic Miller–Rabin."""
+    if n < 2 or any(n % q == 0 for q in _MR_BASES):
+        return n in _MR_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1     # 2^s exactly divides n - 1
+    for q in _MR_BASES:
+        x = pow(q, (n - 1) >> s, n)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
             return False
-        d += 2
     return True
 
 
@@ -111,6 +120,9 @@ class PrimeField(Field):
     kind = "Fp"
 
     def __init__(self, p):
+        if p >= MR_BOUND:
+            raise ValueError(f"{p} is too large: primes below {MR_BOUND} "
+                             "are supported")
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p

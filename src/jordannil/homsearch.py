@@ -17,11 +17,11 @@ k ≠ i, assigned gives x ∘ phi(e_j) - c_i x = Σ_{k≠i} c_k phi(e_k).  The
 stacked system is solved once per node and its solutions are visited in
 lexicographic order, which is the order of the full candidate list of F_p^n
 restricted to the images that propagation would not reject; so the search
-returns the same witnesses and automorphism lists as a scan of F_p^n.  Over Q
-it enumerates vectors with entries from QQ_ENTRIES and gives up after
-QQ_NODE_BUDGET nodes, so a "not found" answer is only heuristic there.  The
-full candidate list, pⁿ - 1 or 5ⁿ - 1 vectors, raises ResourceLimitError
-before it is built when it exceeds the `points` limit.
+returns the same witness as a scan of F_p^n.  Over Q it enumerates vectors
+with entries from QQ_ENTRIES and gives up after QQ_NODE_BUDGET nodes, so a
+"not found" answer is only heuristic there.  The full candidate list,
+pⁿ - 1 or 5ⁿ - 1 vectors, raises ResourceLimitError before it is built when
+it exceeds the `points` limit.
 
 Every isomorphism maps J^m (m ≥ 2), the centre Z and Z ∩ J² of a onto those
 of b, so `find_isomorphisms` returns no map at once when their dimensions
@@ -29,8 +29,8 @@ differ, and over a prime field e_i ∈ S(a) iff phi(e_i) ∈ S(b) prunes the
 candidates (de Graaf prunes the same way for nilpotent Lie algebras,
 J. Algebra 309, 2007): the equations of S(b) join the linear system when
 e_i ∈ S(a), and otherwise the candidates in S(b) are dropped.  Pruning
-removes only subtrees without isomorphisms, so the witnesses and
-automorphism lists stay those of the unpruned search.
+removes only subtrees without isomorphisms, so the witnesses stay those
+of the unpruned search.
 
 The square-zero cone {x : x ∘ x = 0} is a characteristic set: every
 isomorphism maps the cone of a onto that of b.  Over a prime field, for
@@ -159,17 +159,16 @@ class _Search:
     Every step that extends the assignment records the indices it assigned
     in a trail, and `undo(trail)` takes them back.  `dfs` leaves the state
     as it found it, hit or not, so a caller can search several subtrees of
-    one node in turn.
+    one node in turn; a hit is kept in `found`.
     """
 
-    def __init__(self, a, b, find_all, pairs, candidates, square_zero=None):
+    def __init__(self, a, b, pairs, candidates, square_zero=None):
         f = a.field
         n = a.dim
         self.b, self.f, self.n = b, f, n
-        self.find_all = find_all
         self.node_budget = None if f.is_prime_field else QQ_NODE_BUDGET
         self.order = _assignment_order(a)
-        self.results = []
+        self.found = None
         self.assigned = {}
         self.rows, self.pivots = [], []
         self.nodes = 0
@@ -351,8 +350,8 @@ class _Search:
         """Search the subtree of the current node; True once a hit ends it."""
         i = self.next_index()
         if i is None:
-            self.results.append(tuple(self.assigned[k] for k in range(self.n)))
-            return not self.find_all
+            self.found = tuple(self.assigned[k] for k in range(self.n))
+            return True
         for vec in self.candidates(i):
             self.nodes += 1
             if self.node_budget is not None and self.nodes > self.node_budget:
@@ -366,35 +365,30 @@ class _Search:
         return False
 
 
-def find_isomorphisms(a, b, find_all=False):
-    """Matrices (rows = images of a's basis) of isomorphisms a -> b.
+def find_isomorphisms(a, b):
+    """A list holding the first isomorphism a -> b (rows = images of a's
+    basis) the search finds, or no map when there is none.
 
-    Returns a list; with find_all=False it holds at most one witness.
     Over Q raises SearchBudgetExceeded after QQ_NODE_BUDGET nodes.  Raises
     ResourceLimitError when the candidate list exceeds the `points` limit.
     """
     if a.field != b.field or a.dim != b.dim:
         return []
     f = a.field
-    n = a.dim
-    if n == 0:
-        return [()]
-    if not find_all and is_isomorphism(a, b, linalg.identity(f, n)):
-        return [linalg.identity(f, n)]
+    ident = linalg.identity(f, a.dim)
+    if is_isomorphism(a, b, ident):      # a = b, dim 0 included
+        return [ident]
     pairs = _characteristic_pairs(a, b)
     if any(sa.dim != sb.dim for sa, sb in pairs):
         return []
     candidates = _candidate_vectors(a)
     square_zero = None
-    if f.is_prime_field and a != b:
+    if f.is_prime_field:
         square_zero = _square_zero(b, candidates)
         if _cones_differ(a, candidates, square_zero):
             return []
-    search = _Search(a, b, find_all, pairs, candidates, square_zero)
-    search.dfs()
-    if not find_all:
-        return search.results[:1]
-    return sorted(set(search.results))
+    search = _Search(a, b, pairs, candidates, square_zero)
+    return [search.found] if search.dfs() else []
 
 
 def orbit(start, generators, act):
@@ -427,7 +421,7 @@ def stabiliser_chain(a):
     f, n = a.field, a.dim
     ident = linalg.identity(f, n)
     act = partial(linalg.vec_mat, f)
-    search = _Search(a, a, False, _characteristic_pairs(a, a),
+    search = _Search(a, a, _characteristic_pairs(a, a),
                      _candidate_vectors(a))
     base = []                            # (index, trail) per level
     i = search.next_index()
@@ -448,7 +442,7 @@ def stabiliser_chain(a):
             trail = []
             if (search.assign(i, vec, trail) and search.propagate(trail)
                     and search.dfs()):
-                generators.append(search.results.pop())
+                generators.append(search.found)
                 delta = orbit(ident[i], generators, act)
             search.undo(trail)
         lengths.append(len(delta))

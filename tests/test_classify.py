@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from functools import reduce
 from itertools import product as iproduct
 
@@ -11,8 +12,10 @@ from jordannil.classify import (InstanceTooLargeError, brute_force_classes,
 from jordannil.field import GF, QQ
 from jordannil.files import render_algebra
 from jordannil.isotest import verify_witness
+from jordannil.orbits import automorphism_group
 
-from theory import descendants, match_classes, quotient_by_centre
+from theory import (automorphisms, descendants, gl_order, match_classes,
+                    quotient_by_centre)
 
 
 def test_descendants_examples():
@@ -184,13 +187,17 @@ def test_brute_force_matches_flat_enumeration(p, group, monkeypatch):
     # with the trivial group every nilpotent Jordan table is its own class,
     # so a prune that drops any of them shows
     fld = GF(p)
-    gl = homsearch.find_isomorphisms(zero_algebra(fld, 2),
-                                     zero_algebra(fld, 2), find_all=True)
+    gl = automorphisms(zero_algebra(fld, 2))
     if group == "trivial":
+        # mass formula: the orbit of J holds |GL(2, p)| / |Aut(J)| tables
+        mass = sum(Fraction(gl_order(2, p), len(automorphism_group(a)))
+                   for a in brute_force_classes(2, fld).representatives)
         gl = [linalg.identity(fld, 2)]
-        monkeypatch.setattr(homsearch, "find_isomorphisms",
-                            lambda *args, **kwargs: gl)
+        monkeypatch.setattr(homsearch, "stabiliser_chain",
+                            lambda a: ([], []))
     expected = flat_oracle(2, fld, gl)
+    if group == "trivial":
+        assert mass == len(expected)
     got = brute_force_classes(2, fld).representatives
     assert [a.table for a in got] == [a.table for a in expected]
     if group == "gl":
@@ -209,6 +216,19 @@ def test_brute_force_dim3_f2_representatives():
     ]
     got = brute_force_classes(3, GF(2)).representatives
     assert [a.constants for a in got] == expected
+
+
+def test_oracle_orbits_dim3_f2_satisfy_orbit_stabiliser():
+    # the tables the oracle marks for a class are its orbit under GL(3, 2)
+    fld = GF(2)
+    gl, _ = homsearch.stabiliser_chain(zero_algebra(fld, 3))
+
+    def act(t, g):
+        return Algebra.from_table(fld, t).change_basis(g).table
+    for a in brute_force_classes(3, fld).representatives:
+        tables_of_a = homsearch.orbit(a.table, gl, act)
+        assert len(tables_of_a) * len(automorphism_group(a)) == \
+            gl_order(3, 2), a
 
 
 def test_match_classes_dim2():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from jordannil.field import GF, QQ, PrimeField
+from jordannil.field import GF, MR_BOUND, QQ, PrimeField, is_prime
 
 
 def test_inverse_examples():
@@ -54,6 +54,34 @@ def test_prime_check():
     with pytest.raises(ValueError):
         PrimeField(1)
     assert GF(2).p == 2
+
+
+def test_is_prime_matches_trial_division_below_10000():
+    def by_division(n):
+        return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+    assert [n for n in range(10_000) if is_prime(n)] == \
+        [n for n in range(10_000) if by_division(n)]
+
+
+def test_is_prime_on_large_values():
+    # trial division to √p ran for minutes on the two primes
+    assert is_prime(10 ** 18 + 3)
+    assert is_prime(2 ** 61 - 1)
+    assert not is_prime(10 ** 18 + 1)                 # 101 · 9901 · ...
+    assert not is_prime((2 ** 31 - 1) * (2 ** 61 - 1))
+    # the least strong pseudoprimes to the first 11 and 12 prime bases
+    assert not is_prime(3_825_123_056_546_413_051)
+    assert not is_prime(318_665_857_834_031_151_167_461)
+    assert GF(10 ** 18 + 3).inv(2) == (10 ** 18 + 4) // 2
+
+
+def test_prime_field_rejects_p_past_the_exact_bound():
+    # MR_BOUND is composite, yet a strong probable prime to every base used
+    assert is_prime(MR_BOUND)
+    with pytest.raises(ValueError, match="too large"):
+        PrimeField(MR_BOUND)
+    with pytest.raises(ValueError, match="too large"):
+        PrimeField(2 ** 89 - 1)
 
 
 def test_parse_render():

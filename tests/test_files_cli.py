@@ -313,6 +313,39 @@ def test_cli_check_dim_bound_exits_3(tmp_path, capsys, monkeypatch):
     assert code == 0 and out.startswith("Jordan: yes")
 
 
+def test_cli_extend_dim_bound_exits_3(tmp_path, capsys, monkeypatch):
+    # the extension of a dim-1 table by 30 components has dim 31
+    monkeypatch.delenv("JORDAN_LIMITS", raising=False)
+    line = write(tmp_path, "line.alg", "field F 3\ndim 1\n")
+    theta = ";".join(["S(1,1)"] * 30)
+    assert cli.main(["extend", line, "--theta", theta]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("resource limit: the extension has dim 31 (1 + 30 "
+                            "--theta components), above the bound 24 "
+                            "(JORDAN_LIMITS dim=N overrides it)\n")
+    monkeypatch.setenv("JORDAN_LIMITS", "dim=40")
+    code, out = run_cli(capsys, "extend", line, "--theta", theta)
+    assert code == 0
+    assert parse_algebra_file(out) == Algebra(
+        GF(3), 31, {(1, 1, k): 1 for k in range(2, 32)})
+
+
+def test_cli_large_prime_field(tmp_path, capsys):
+    # trial division to √p kept both calls running past 20 s
+    p = 10 ** 18 + 3
+    code, out = run_cli(capsys, "classify", "--dim", "1", "--field", f"F:{p}")
+    assert code == 0 and out.startswith(f"classification dim 1 over F_{p}: 1 ")
+    path = write(tmp_path, "big_p.alg", f"field F {p}\ndim 2\n1 1 : 2:5\n")
+    code, out = run_cli(capsys, "check", path)
+    assert code == 0 and out.startswith("Jordan: yes; nilpotent: yes")
+    for spec in (f"F:{10 ** 18 + 1}", f"F:{2 ** 89 - 1}"):
+        assert cli.main(["classify", "--dim", "1", "--field", spec]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(
+            f"error: bad field spec '{spec}': ")
+
+
 def test_cli_check_jordan_points_bound_exits_3(tmp_path, capsys,
                                               monkeypatch):
     # over F_2 the Jordan identity is checked at all 2^7 - 1 points; the

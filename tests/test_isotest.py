@@ -17,6 +17,8 @@ from jordannil.groebner import PolyRing, buchberger, contains_one
 from jordannil.isotest import (decide, eliminate_linear, iso_system,
                                prefilter, verify_witness)
 
+from theory import automorphisms
+
 
 def test_prefilter_examples(catalog_algebra):
     j46 = catalog_algebra("closed", "J_{4,6}")
@@ -213,8 +215,7 @@ def test_agreement_with_full_gl_oracle_f2():
     """decide matches an exhaustive GL search on dim <= 3 over F_2."""
     rnd = random.Random(3)
     f2 = GF(2)
-    gl3 = homsearch.find_isomorphisms(zero_algebra(f2, 3), zero_algebra(f2, 3),
-                                      find_all=True)
+    gl3 = automorphisms(zero_algebra(f2, 3))
     samples = [a for a in brute_force_classes(3, f2).representatives]
     count = 0
     while count < 10:

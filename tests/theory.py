@@ -1,11 +1,27 @@
 """Direct checks of the lemmas the construction relies on without
 re-checking them, and other helpers only the tests use."""
 
+from functools import partial
+from math import prod
+
 from jordannil import cohomology, homsearch, linalg
 from jordannil.algebra import Algebra, is_isomorphism
 from jordannil.classify import descendants_with_reps
 from jordannil.cohomology import BilinearForm, cocycle_space
 from jordannil.extension import central_extension
+
+
+def automorphisms(a):
+    """Every automorphism of a over F_p, in lexicographic order: the
+    closure of the stabiliser chain's generators under matrix products."""
+    f = a.field
+    generators, _ = homsearch.stabiliser_chain(a)
+    return sorted(homsearch.orbit(linalg.identity(f, a.dim), generators,
+                                  partial(linalg.mat_mul, f)))
+
+
+def gl_order(n, p):
+    return prod(p ** n - p ** k for k in range(n))
 
 
 def evaluate(form, x, y):
