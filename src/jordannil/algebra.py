@@ -137,15 +137,10 @@ class Algebra:
     def check_jordan(self):
         """x² ∘ (x ∘ e_j) = x ∘ (x² ∘ e_j) at every point x of jordan_points."""
         if "jordan" not in self._cache:
-            self._cache["jordan"] = all(self._jordan_holds_at(x)
-                                        for x in jordan_points(self))
+            self._cache["jordan"] = all(
+                self._sym_product(*lhs) == self._sym_product(*rhs)
+                for lhs, rhs in jordan_terms(self))
         return self._cache["jordan"]
-
-    def _jordan_holds_at(self, x):
-        xx = self._sym_product(x, x)
-        return all(self._sym_product(xx, self._sym_product_basis(x, j))
-                   == self._sym_product(x, self._sym_product_basis(xx, j))
-                   for j in range(self.dim))
 
     def _sym_product(self, p, q):
         # p, q: polynomial vectors {exponent tuple over λ: coordinate vector}
@@ -297,6 +292,19 @@ def jordan_points(a):
         return [{(): x} for x in a.all_vectors() if any(x)]
     return [{tuple(1 if j == i else 0 for j in range(n)): linalg.unit(f, n, i)
              for i in range(n)}]
+
+
+def jordan_terms(a):
+    """The two sides of the Jordan identity, before their last product.
+
+    Yields ((x², x ∘ e_j), (x, x² ∘ e_j)) for each point x of jordan_points
+    and each j, so that the identity equates the products of the two pairs.
+    """
+    for x in jordan_points(a):
+        xx = a._sym_product(x, x)
+        for j in range(a.dim):
+            yield ((xx, a._sym_product_basis(x, j)),
+                   (x, a._sym_product_basis(xx, j)))
 
 
 def is_isomorphism(a, b, phi):

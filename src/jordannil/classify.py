@@ -3,12 +3,15 @@
 classify_dim builds dimension n from dimension < n: direct sums with a
 one-dimensional trivial algebra supply the classes with a central component,
 orbit representatives of allowable subspaces of H² supply the central
-extensions without one; by the Skjelbred–Sund theorem no two of them are
-isomorphic.
-brute_force_classes is the independent oracle: set the symmetric structure
-constants one product at a time, skip every subtree with a non-nilpotent L_x,
-filter, and mark each class as the orbit of its first table under the
-generators of GL(n, p), the stabiliser chain of the zero algebra.
+extensions without one.  The program relies on the theory here and checks
+neither fact again: by the centre lemma Z(J_θ) = (θ⊥ ∩ Z(J)) ⊕ V an
+extension by an allowable θ has centre V, and by the Skjelbred–Sund theorem
+no two candidates are isomorphic.
+brute_force_classes is the independent oracle: nilpotent_jordan_tables sets
+the symmetric structure constants one product at a time and skips every
+subtree with a non-nilpotent L_x, and each class is marked as the orbit of
+its first table under the generators of GL(n, p), the stabiliser chain of
+the zero algebra.
 """
 
 from dataclasses import dataclass
@@ -58,20 +61,12 @@ class ClassificationResult:
 def descendants_with_reps(a, r):
     """(J_θ, orbit representative) for each Aut-orbit of allowable subspaces.
 
-    Each J_θ is built once and checked against the centre lemma
-    Z(J_θ) = (θ⊥ ∩ Z(J)) ⊕ V; a violation raises, under python -O too.
+    The lifts of H² coordinates lie in Z², and an allowable θ has θ⊥ ∩ Z(J)
+    = 0, so by the centre lemma Z(J_θ) = V: J_θ has no central component.
     """
     h2, _, reps = orbits.orbit_representatives(a, r)
-    out = []
-    for rep in reps:
-        # lifts of H² coordinates lie in Z² by construction
-        forms = orbits.point_forms(h2, rep)
-        ext = extension.central_extension(a, forms)
-        _, flag = extension.centre_of_extension_decomposition(a, forms, ext)
-        if not flag:
-            raise AssertionError("centre decomposition failed on a descendant")
-        out.append((ext, rep))
-    return out
+    return [(extension.central_extension(a, orbits.point_forms(h2, rep)), rep)
+            for rep in reps]
 
 
 def _class_order(a):
@@ -130,48 +125,62 @@ def _is_nilpotent_operator(fld, rows):
     return not any(map(any, power))
 
 
-def brute_force_classes(n, fld):
-    """Oracle: enumerate all symmetric tables, filter Jordan + nilpotent,
-    partition into isomorphism classes by closing each new table under the
-    GL(n, p) generators."""
-    if not fld.is_prime_field:
-        raise ValueError("the oracle runs over prime fields")
-    p = fld.p
+def nilpotent_jordan_tables(n, fld, seen):
+    """Each nilpotent Jordan table on F_pⁿ that is not in seen, as an Algebra.
+
+    The walk sets the symmetric products one at a time and skips every
+    subtree with a non-nilpotent L_{e_i}.  seen is read at each leaf, before
+    the nilpotency and Jordan tests, so the caller may grow it while the
+    walk runs.
+    """
     pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    slots = len(pairs) * n
-    if p ** slots > _BRUTE_BOUND:
-        raise InstanceTooLargeError(
-            f"{p}^{slots} tables exceed the oracle bound {_BRUTE_BOUND}")
-
-    gl, _ = homsearch.stabiliser_chain(zero_algebra(fld, n))
-
-    def act(t, g):
-        return Algebra.from_table(fld, t).change_basis(g).table
-
-    vectors = list(iproduct(range(p), repeat=n))
     table = [[None] * n for _ in range(n)]
-    seen = set()
-    reps = []
 
     def walk(t):
         if t == len(pairs):
             a = Algebra.from_table(fld, table)
-            if a.table in seen or not a.is_nilpotent()[0] \
-                    or not a.check_jordan():
-                return
-            reps.append(a)
-            seen.update(homsearch.orbit(a.table, gl, act))
+            if a.table not in seen and a.is_nilpotent()[0] \
+                    and a.check_jordan():
+                yield a
             return
         i, j = pairs[t]
-        for v in vectors:
+        for v in iproduct(range(fld.p), repeat=n):
             table[i][j] = table[j][i] = v
             # With e_i ∘ e_n set, L_{e_i} is complete.  L_x(cᵐ) ⊆ cᵐ⁺¹, so
             # every L_{e_i} of a nilpotent table is nilpotent.
             if j == n - 1 and not _is_nilpotent_operator(fld, table[i]):
                 continue
-            walk(t + 1)
+            yield from walk(t + 1)
 
-    walk(0)
+    return walk(0)
+
+
+def brute_force_classes(n, fld):
+    """Oracle: enumerate the nilpotent Jordan tables and partition them into
+    isomorphism classes by closing each new table under the GL(n, p)
+    generators."""
+    if not fld.is_prime_field:
+        raise ValueError("the oracle runs over prime fields")
+    slots = n * n * (n + 1) // 2
+    if fld.p ** slots > _BRUTE_BOUND:
+        raise InstanceTooLargeError(
+            f"{fld.p}^{slots} tables exceed the oracle bound {_BRUTE_BOUND}")
+
+    def act(t, g):
+        return Algebra.from_table(fld, t).change_basis(g).table
+
+    zero = zero_algebra(fld, n)
+    gl = None
+    seen = set()
+    reps = []
+    for a in nilpotent_jordan_tables(n, fld, seen):
+        reps.append(a)
+        # the zero table is its own orbit, and at n = 1 the only class:
+        # GL(n, p) is needed from the first class with nonzero products
+        if a != zero:
+            if gl is None:
+                gl, _ = homsearch.stabiliser_chain(zero)
+            seen.update(homsearch.orbit(a.table, gl, act))
     reps.sort(key=_class_order)
     return ClassificationResult(
         n, fld, tuple(reps), tuple(Provenance("oracle") for _ in reps))

@@ -8,7 +8,7 @@ canonical RREF bases.  S(i,j) denotes the dual basis form with value 1 on
 """
 
 from . import linalg
-from .algebra import jordan_points
+from .algebra import jordan_terms
 from .linalg import Subspace
 
 
@@ -140,9 +140,9 @@ class FormSpace(Subspace):
 def cocycle_space(a):
     """Z²(J, K): symmetric θ with θ(x², x∘e_j) = θ(x, x²∘e_j).
 
-    The condition is imposed at the points of `jordan_points`, where
-    `check_jordan` imposes the Jordan identity: each λ-monomial of the
-    difference gives one linear condition on the triangle coordinates of θ.
+    θ is applied to the pairs of `jordan_terms`, whose products
+    `check_jordan` compares: each λ-monomial of the difference gives one
+    linear condition on the triangle coordinates of θ.
     """
     f = a.field
     n = a.dim
@@ -167,13 +167,11 @@ def cocycle_space(a):
                             idx = triangle_index(i, j)
                             row[idx] = op(row[idx], c)
 
-    for x in jordan_points(a):
-        xx = a._sym_product(x, x)
-        for j in range(n):
-            by_monomial = {}
-            add_rows(by_monomial, xx, a._sym_product_basis(x, j), 1)
-            add_rows(by_monomial, x, a._sym_product_basis(xx, j), -1)
-            rows.extend(tuple(r) for r in by_monomial.values() if any(r))
+    for lhs, rhs in jordan_terms(a):
+        by_monomial = {}
+        add_rows(by_monomial, *lhs, 1)
+        add_rows(by_monomial, *rhs, -1)
+        rows.extend(tuple(r) for r in by_monomial.values() if any(r))
 
     basis = linalg.nullspace(f, rows, size)
     return FormSpace(f, n, basis)
@@ -197,8 +195,7 @@ class H2Space:
     coordinate order, so reduction of any cocycle modulo δC¹ is deterministic.
     """
 
-    __slots__ = ("algebra", "z2", "coboundaries", "basis", "_projection",
-                 "_annihilator")
+    __slots__ = ("algebra", "z2", "coboundaries", "basis", "_projection")
 
     def __init__(self, a):
         self.algebra = a
@@ -218,8 +215,7 @@ class H2Space:
         self.basis = tuple(BilinearForm.from_vector(f, a.dim, v) for v in added)
         # Rows δC¹, then H², then unit vectors off the pivots of their span
         # form a basis of all forms.  Column k of the inverse reads off the
-        # k-th coordinate in that basis: the H² columns are the projection,
-        # and the unit-vector columns vanish exactly on δC¹ + H² = Z².
+        # k-th coordinate in that basis; the H² columns are the projection.
         size = triangle_size(a.dim)
         pivots = set(work_piv)
         outside = [linalg.unit(f, size, c) for c in range(size)
@@ -228,7 +224,6 @@ class H2Space:
             f, list(self.coboundaries.rows) + added + outside))
         start = self.coboundaries.dim
         self._projection = linalg.transpose(cols[start:start + len(added)])
-        self._annihilator = cols[start + len(added):]
 
     @property
     def dim(self):
@@ -239,12 +234,13 @@ class H2Space:
         return self.algebra.field
 
     def reduce(self, form):
-        """Coordinates of form modulo δC¹ in the H² basis."""
-        f = self.field
-        vec = form.vectorize()
-        if any(f.dot(vec, w) for w in self._annihilator):
-            raise ValueError("form is not a cocycle (not in Z² span)")
-        return linalg.vec_mat(f, vec, self._projection)
+        """Coordinates of form modulo δC¹ in the H² basis.
+
+        form must lie in Z²; this is not checked.  The classification
+        reduces only pull-backs of H² basis forms by automorphisms, which
+        stay in Z², and a form from outside is checked with `z2.contains`.
+        """
+        return linalg.vec_mat(self.field, form.vectorize(), self._projection)
 
     def lift(self, coords):
         f = self.field
@@ -257,14 +253,6 @@ class H2Space:
 
 def h2_space(a):
     return H2Space(a)
-
-
-def radical(forms):
-    """θ⊥ = {x : θ_t(x, ·) = 0 for every t}, the joint radical of a
-    nonempty sequence of forms."""
-    field, n = forms[0].field, forms[0].n
-    rows = [r for form in forms for r in form.rows]
-    return Subspace(field, n, linalg.nullspace(field, rows, n))
 
 
 def pull_back(phi, form):

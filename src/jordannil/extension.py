@@ -1,16 +1,15 @@
-"""Central extensions J_θ = J ⊕ V and the centre lemma they satisfy.
+"""Central extensions J_θ = J ⊕ V of an algebra by symmetric forms.
 
 θ = (θ_1, ..., θ_r) is a sequence of BilinearForms, one per new central
 coordinate.  The classification extends only by lifts of H² points, which
 lie in Z² by construction, so `central_extension` checks shapes only; the
 `extend` verb checks each component against Z², where θ comes from outside
-the program.
+the program.  The centre lemma Z(J_θ) = (θ⊥ ∩ Z(J)) ⊕ V is not checked
+here; the tests check it on every extension the classification builds up
+to dimension 4 over F₂ and F₃.
 """
 
-from . import linalg
 from .algebra import Algebra
-from .cohomology import radical
-from .linalg import Subspace
 
 
 def central_extension(a, forms):
@@ -29,18 +28,3 @@ def central_extension(a, forms):
                 if c:
                     consts[(j, i, n + t + 1)] = c
     return Algebra(a.field, n + len(forms), consts)
-
-
-def centre_of_extension_decomposition(a, forms, ext):
-    """Z(J_θ) together with the check Z(J_θ) = (θ⊥ ∩ Z(J)) ⊕ V.
-
-    ext is J_θ = central_extension(a, forms).
-    """
-    centre = ext.centre()
-    f = a.field
-    n, r = a.dim, len(forms)
-    meet = radical(forms).intersection(a.centre())
-    expected_vectors = [tuple(row) + (f.zero,) * r for row in meet.basis]
-    expected_vectors += [linalg.unit(f, n + r, n + t) for t in range(r)]
-    expected = Subspace(f, n + r, expected_vectors)
-    return centre, centre == expected

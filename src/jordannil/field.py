@@ -49,13 +49,6 @@ class Field:
     def div(self, x, y):
         return self.mul(x, self.inv(y))
 
-    def dot(self, xs, ys):
-        acc = self.zero
-        for x, y in zip(xs, ys):
-            if x and y:
-                acc = self.add(acc, self.mul(x, y))
-        return acc
-
 
 class Rationals(Field):
     """The field Q with arbitrary-precision Fraction elements."""

@@ -14,7 +14,8 @@ from jordannil import cohomology as coh
 from jordannil import extension as ext
 from jordannil import isotest, orbits, tables
 from jordannil.algebra import Algebra, zero_algebra
-from jordannil.classify import brute_force_classes, classify_dim
+from jordannil.classify import (brute_force_classes, classify_dim,
+                                descendants_with_reps)
 from jordannil.cohomology import coboundary_space, cocycle_space, dual_form
 from jordannil.field import GF, QQ
 from jordannil.groebner import PolyRing, buchberger, contains_one, reduce_poly, \
@@ -67,8 +68,8 @@ def test_criterion_2_oracle_equivalence():
         pipeline = classified(n, p)
         matches = match_classes(oracle, pipeline)
         witnesses_ok = all(
-            isotest.verify_witness(oracle.representatives[i],
-                                   pipeline.representatives[j], w)
+            theory.verify_witness(oracle.representatives[i],
+                                  pipeline.representatives[j], w)
             for i, j, w in matches)
         bijection = sorted(j for _, j, _ in matches) == \
             list(range(len(pipeline)))
@@ -139,7 +140,7 @@ def test_criterion_5_centre_lemma():
             h2, _, reps = orbits.orbit_representatives(a, r)
             for rep in reps:
                 forms = orbits.point_forms(h2, rep)
-                _, flag = ext.centre_of_extension_decomposition(
+                _, flag = theory.centre_of_extension_decomposition(
                     a, forms, ext.central_extension(a, forms))
                 ok &= flag
                 verified += 1
@@ -150,14 +151,29 @@ def test_criterion_5_centre_lemma():
             theta = coh.zero_form(GF(3), a.dim)
             for f in z2.forms:
                 theta = theta.add(f.scale(rnd.randrange(3)))
-            _, flag = ext.centre_of_extension_decomposition(
+            _, flag = theory.centre_of_extension_decomposition(
                 a, [theta], ext.central_extension(a, [theta]))
             ok &= flag
             verified += 1
-    # the classify pipeline of criteria 1-2 verifies the same lemma on every
-    # extension it builds (descendants_with_reps raises on violation)
-    report(5, ok, f"{verified} extensions verified explicitly; pipeline "
-                  "extensions verified during construction")
+    # every extension the classify pipeline builds up to dim 4 over F_2 and
+    # F_3, which relies on the lemma without checking it: θ is read off the
+    # new coordinates of J_θ, and the centre must be exactly V
+    pipeline = 0
+    for p in (2, 3):
+        for d in (1, 2, 3):
+            for a in classified(d, p).representatives:
+                for r in range(1, 5 - d):
+                    for built, _ in descendants_with_reps(a, r):
+                        forms = [coh.BilinearForm(GF(p), [
+                            [built.table[i][j][d + t] for j in range(d)]
+                            for i in range(d)]) for t in range(r)]
+                        centre, flag = theory.centre_of_extension_decomposition(
+                            a, forms, built)
+                        ok &= flag and centre.dim == r
+                        pipeline += 1
+    report(5, ok, f"{verified} extensions of catalog algebras and random "
+                  f"cocycles, {pipeline} pipeline extensions up to dim 4 "
+                  "over F_2 and F_3")
 
 
 def test_criterion_6_cohomologous_isomorphic():
@@ -286,7 +302,7 @@ def test_criterion_11_witness_validity():
     j22 = Algebra(QQ, 2, {(1, 1, 2): 1})
     v = isotest.decide(j22, j22)
     ok &= v.kind == isotest.ISOMORPHIC and \
-        isotest.verify_witness(j22, j22, v.witness)
+        theory.verify_witness(j22, j22, v.witness)
     checked += 1
 
     f5 = GF(5)
@@ -294,25 +310,25 @@ def test_criterion_11_witness_validity():
     b5 = Algebra(f5, 4, {(1, 1, 3): 1, (2, 2, 3): -1, (1, 2, 4): 1})
     v = isotest.decide(a5, b5)
     ok &= v.kind == isotest.ISOMORPHIC and \
-        isotest.verify_witness(a5, b5, v.witness)
+        theory.verify_witness(a5, b5, v.witness)
     checked += 1
 
     for n, p in ((2, 2), (2, 3)):
         oracle = brute_force_classes(n, GF(p))
         pipeline = classified(n, p)
         for i, j, w in match_classes(oracle, pipeline):
-            ok &= isotest.verify_witness(oracle.representatives[i],
-                                         pipeline.representatives[j], w)
+            ok &= theory.verify_witness(oracle.representatives[i],
+                                        pipeline.representatives[j], w)
             checked += 1
 
     # the stated basis change maps (ab = c) onto (a² = c, b² = -c) over Q
     lhs = Algebra(QQ, 3, {(1, 2, 3): 1})
     rhs = Algebra(QQ, 3, {(1, 1, 3): 1, (2, 2, 3): -1})
     phi = ((1, 1, 0), (1, -1, 0), (0, 0, 2))
-    ok &= isotest.verify_witness(lhs, rhs, phi)
+    ok &= theory.verify_witness(lhs, rhs, phi)
     v = isotest.decide(lhs, rhs)
     ok &= v.kind == isotest.ISOMORPHIC and \
-        isotest.verify_witness(lhs, rhs, v.witness)
+        theory.verify_witness(lhs, rhs, v.witness)
     checked += 2
     report(11, ok, f"{checked} witnesses verified, including the explicit "
                    "a->a+b, b->a-b, c->2c basis change")
@@ -355,3 +371,29 @@ def test_criterion_12_dim4_closure_classes(p):
           and all(f and len(i) == 1 for f, i in zip(forms, ids)))
     report(12, ok, f"F_{p}: {n} classes, {len(classes)} over the closure, "
                    f"{non_assoc} non-associative; split: {split}")
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_criterion_12_dims_1_to_3_closure_classes(p):
+    # the paper's "dimension <= 3 over any field": every class over the
+    # closure holds exactly one entry of the closed catalog (char2 at p = 2)
+    case = "char2" if p == 2 else "closed"
+    ok = True
+    split = []
+    for n in (1, 2, 3):
+        reps = classified(n, p).representatives
+        entries = tables.catalog(case, n)
+        k = len(reps)
+        classes = closure_classes(
+            list(reps) + [e.algebra(GF(p)) for e in entries])
+        for c in classes:
+            ids = [entries[i - k].entry_id for i in c if i >= k]
+            forms = sum(1 for i in c if i < k)
+            ok &= len(ids) == 1 and forms >= 1
+            if forms > 1:
+                split.append(f"{ids[0]} ({forms} F_{p}-forms)")
+        ok &= len(classes) == len(entries)
+    # J_{3,3} (a² = c, b² = αc) splits by the square class of α when p is odd
+    ok &= split == ([] if p == 2 else [f"J_{{3,3}} (2 F_{p}-forms)"])
+    report(12, ok, f"F_{p}, dims 1-3 against the {case} catalog; "
+                   f"split: {split or 'none'}")

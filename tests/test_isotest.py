@@ -14,10 +14,9 @@ from jordannil.algebra import Algebra, is_isomorphism, zero_algebra
 from jordannil.classify import brute_force_classes, classify_dim
 from jordannil.field import GF, QQ
 from jordannil.groebner import PolyRing, buchberger, contains_one
-from jordannil.isotest import (decide, eliminate_linear, iso_system,
-                               prefilter, verify_witness)
+from jordannil.isotest import decide, eliminate_linear, iso_system, prefilter
 
-from theory import automorphisms
+from theory import automorphisms, verify_witness
 
 
 def test_prefilter_examples(catalog_algebra):
@@ -167,7 +166,8 @@ def test_verify_witness_examples(catalog_algebra):
 def test_decide_rejects_invalid_witness(monkeypatch, fld, mode):
     # each of the three witness sites raises, with or without python -O
     a = Algebra(fld, 3, {(1, 1, 2): 1, (1, 2, 3): 1})
-    monkeypatch.setattr(isotest, "verify_witness", lambda a, b, phi: False)
+    monkeypatch.setattr(homsearch, "find_witness",
+                        lambda a, b: (linalg.zeros(a.field, 3),) * 3)
     with pytest.raises(isotest.InvalidWitnessError):
         decide(a, a, mode=mode)
 
@@ -175,11 +175,11 @@ def test_decide_rejects_invalid_witness(monkeypatch, fld, mode):
 def test_decide_rejects_invalid_witness_under_python_O():
     # `python -O` strips asserts and `if __debug__:` blocks alike
     script = textwrap.dedent("""
-        from jordannil import isotest
+        from jordannil import homsearch, isotest, linalg
         from jordannil.algebra import Algebra
         from jordannil.field import GF, QQ
         print(__debug__)
-        isotest.verify_witness = lambda a, b, phi: False
+        homsearch.find_witness = lambda a, b: (linalg.zeros(a.field, 3),) * 3
         for fld, mode in ((GF(3), "base"), (QQ, "base"), (QQ, "closure")):
             a = Algebra(fld, 3, {(1, 1, 2): 1, (1, 2, 3): 1})
             try:

@@ -9,6 +9,7 @@ from jordannil.algebra import Algebra, is_isomorphism
 from jordannil.classify import descendants_with_reps
 from jordannil.cohomology import BilinearForm, cocycle_space
 from jordannil.extension import central_extension
+from jordannil.linalg import Subspace
 
 
 def automorphisms(a):
@@ -109,16 +110,50 @@ def extension_is_jordan_iff_cocycle(a, beta):
     return in_z2, central_extension(a, [beta]).check_jordan()
 
 
+def radical(forms):
+    """θ⊥ = {x : θ_t(x, ·) = 0 for every t}, the joint radical of a
+    nonempty sequence of forms."""
+    field, n = forms[0].field, forms[0].n
+    rows = [r for form in forms for r in form.rows]
+    return Subspace(field, n, linalg.nullspace(field, rows, n))
+
+
+def centre_of_extension_decomposition(a, forms, ext):
+    """Z(J_θ) together with the check Z(J_θ) = (θ⊥ ∩ Z(J)) ⊕ V.
+
+    ext is J_θ = central_extension(a, forms).
+    """
+    centre = ext.centre()
+    f = a.field
+    n, r = a.dim, len(forms)
+    meet = radical(forms).intersection(a.centre())
+    expected_vectors = [tuple(row) + (f.zero,) * r for row in meet.basis]
+    expected_vectors += [linalg.unit(f, n + r, n + t) for t in range(r)]
+    expected = Subspace(f, n + r, expected_vectors)
+    return centre, centre == expected
+
+
+def verify_witness(a, b, phi):
+    """True iff phi, given in any form the field can coerce, is invertible
+    and preserves all basis products."""
+    try:
+        phi = tuple(tuple(a.field.of(x) for x in row) for row in phi)
+    except (TypeError, ValueError, ZeroDivisionError):
+        return False
+    if any(len(row) != a.dim for row in phi) or len(phi) != a.dim:
+        return False
+    return is_isomorphism(a, b, phi)
+
+
 def is_allowable(a, forms):
     """θ ⊆ Z², its joint radical avoids Z(J), and its images in H² are
-    independent; `H2Space.reduce` rejects a form outside Z²."""
-    if not cohomology.radical(forms).intersection(a.centre()).is_zero():
+    independent."""
+    if not radical(forms).intersection(a.centre()).is_zero():
         return False
     h2 = cohomology.h2_space(a)
-    try:
-        coords = [h2.reduce(c) for c in forms]
-    except ValueError:
+    if not all(h2.z2.contains(c) for c in forms):
         return False
+    coords = [h2.reduce(c) for c in forms]
     return linalg.rank(a.field, coords) == len(forms)
 
 
