@@ -20,10 +20,7 @@ from itertools import product as iproduct
 from . import extension, homsearch, linalg, orbits
 from .algebra import Algebra, fingerprint_key, zero_algebra
 from .files import render_algebra
-
-
-class InstanceTooLargeError(ValueError):
-    """Brute-force enumeration would exceed the desk-scale bound."""
+from .limits import ResourceLimitError
 
 
 @dataclass(frozen=True)
@@ -144,7 +141,11 @@ def nilpotent_jordan_tables(n, fld, seen):
                 yield a
             return
         i, j = pairs[t]
-        for v in iproduct(range(fld.p), repeat=n):
+        # product() copies range(p) into a tuple; at n = 1, the only size
+        # with a large p under the bound, zip yields the 1-tuples lazily
+        vectors = (zip(range(fld.p)) if n == 1
+                   else iproduct(range(fld.p), repeat=n))
+        for v in vectors:
             table[i][j] = table[j][i] = v
             # With e_i ∘ e_n set, L_{e_i} is complete.  L_x(cᵐ) ⊆ cᵐ⁺¹, so
             # every L_{e_i} of a nilpotent table is nilpotent.
@@ -163,7 +164,7 @@ def brute_force_classes(n, fld):
         raise ValueError("the oracle runs over prime fields")
     slots = n * n * (n + 1) // 2
     if fld.p ** slots > _BRUTE_BOUND:
-        raise InstanceTooLargeError(
+        raise ResourceLimitError(
             f"{fld.p}^{slots} tables exceed the oracle bound {_BRUTE_BOUND}")
 
     def act(t, g):

@@ -15,7 +15,6 @@ from .field import QQ, GF
 from .files import AlgebraFileError, parse_algebra_file, render_algebra
 from .groebner import PolyRing, buchberger
 from .limits import Limits, ResourceLimitError
-from .classify import InstanceTooLargeError
 
 
 class InputError(Exception):
@@ -422,7 +421,7 @@ def main(argv=None):
         return 2
     try:
         return args.func(args)
-    except (InputError, InstanceTooLargeError) as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ResourceLimitError as exc:

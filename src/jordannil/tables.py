@@ -3,10 +3,11 @@
 Cases: "any" (dims 1-2, valid over every field), "closed" (algebraically
 closed, characteristic != 2), "char2", "real".  Entries carry exact tables
 over Q (instantiable over any prime field where the coefficients make
-sense); square-class families carry an alpha parameter of +1 or -1.
+sense).  The real tables are the closed ones with five square-class
+families split into members ^{+1} and ^{-1} (_REAL_SPLITS).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from . import isotest
@@ -23,8 +24,7 @@ class CatalogEntry:
     dim: int
     products: tuple              # ((i, j, k, coeff), ...) with 1-based i <= j
     is_associative: bool = True
-    alpha: int = None            # square-class parameter, when applicable
-    family: str = None           # id without the alpha superscript
+    family: str = None           # real square-class family: id without ^{±1}
     centre_labels: tuple = None  # declared centre basis, when stated
     decomposition: str = ""      # e.g. "J_{2,2} + J_{1,1}"
 
@@ -32,17 +32,12 @@ class CatalogEntry:
         consts = {(i, j, k): fld.of(c) for i, j, k, c in self.products}
         return Algebra(fld, self.dim, consts)
 
-    def merges_over_closure_with(self, other):
-        """Square-class partners: same family, different alpha."""
-        return (self.family is not None and self.family == other.family
-                and self.alpha != other.alpha)
 
-
-def _e(entry_id, case, dim, products, assoc=True, alpha=None, family=None,
-       centre=None, decomposition=""):
-    return CatalogEntry(entry_id, case, dim, tuple(products), assoc, alpha,
-                        family, tuple(centre) if centre else None,
-                        decomposition)
+def _e(entry_id, case, dim, products, assoc=True, centre=None,
+       decomposition=""):
+    return CatalogEntry(entry_id, case, dim, tuple(products), assoc,
+                        centre_labels=tuple(centre) if centre else None,
+                        decomposition=decomposition)
 
 
 _ANY = [
@@ -75,19 +70,6 @@ _DIM3_CHAR2 = [
        centre=("c",)),                                                # a^2 = b, ab = c
 ]
 
-_DIM3_REAL = [
-    _e("J_{3,1}", "real", 3, [], centre=("a", "b", "c"),
-       decomposition="J_{2,1} + J_{1,1}"),
-    _e("J_{3,2}", "real", 3, [(1, 1, 2, 1)], centre=("b", "c"),
-       decomposition="J_{2,2} + J_{1,1}"),
-    _e("J_{3,3}^{+1}", "real", 3, [(1, 1, 3, 1), (2, 2, 3, 1)],
-       alpha=1, family="J_{3,3}", centre=("c",)),                     # a^2 = c, b^2 = c
-    _e("J_{3,3}^{-1}", "real", 3, [(1, 1, 3, 1), (2, 2, 3, -1)],
-       alpha=-1, family="J_{3,3}", centre=("c",)),                    # a^2 = c, b^2 = -c
-    _e("J_{3,4}", "real", 3, [(1, 1, 2, 1), (1, 2, 3, 1)],
-       centre=("c",)),                                                # a^2 = b, ab = c
-]
-
 _DIM4_CLOSED = [
     _e("J_{4,1}", "closed", 4, [], decomposition="J_{3,1} + J_{1,1}"),
     _e("J_{4,2}", "closed", 4, [(1, 1, 2, 1)],
@@ -114,45 +96,41 @@ _DIM4_CLOSED = [
     _e("J_{4,13}", "closed", 4, [(1, 1, 3, 1), (2, 2, 3, 1), (1, 2, 4, 1)]),
 ]
 
-_DIM4_REAL = [
-    _e("J_{4,1}", "real", 4, [], decomposition="J_{3,1} + J_{1,1}"),
-    _e("J_{4,2}", "real", 4, [(1, 1, 2, 1)],
-       decomposition="J_{3,2} + J_{1,1}"),
-    _e("J_{4,3}^{+1}", "real", 4, [(1, 1, 3, 1), (2, 2, 3, 1)],
-       alpha=1, family="J_{4,3}", decomposition="J_{3,3}^{+1} + J_{1,1}"),
-    _e("J_{4,3}^{-1}", "real", 4, [(1, 1, 3, 1), (2, 2, 3, -1)],
-       alpha=-1, family="J_{4,3}", decomposition="J_{3,3}^{-1} + J_{1,1}"),
-    _e("J_{4,4}", "real", 4, [(1, 1, 2, 1), (1, 2, 3, 1)],
-       decomposition="J_{3,4} + J_{1,1}"),
-    _e("J_{4,5}^{+1}", "real", 4, [(1, 1, 4, 1), (2, 2, 4, 1), (3, 3, 4, 1)],
-       alpha=1, family="J_{4,5}"),
-    _e("J_{4,5}^{-1}", "real", 4, [(1, 1, 4, 1), (2, 2, 4, 1), (3, 3, 4, -1)],
-       alpha=-1, family="J_{4,5}"),
-    _e("J_{4,6}", "real", 4, [(1, 1, 2, 1), (2, 3, 4, 1)], assoc=False),
-    _e("J_{4,7}", "real", 4, [(1, 1, 2, 1), (1, 2, 4, 1), (3, 3, 4, 1)]),
-    _e("J_{4,8}^{+1}", "real", 4, [(1, 1, 3, 1), (2, 2, 3, 1), (1, 3, 4, 1)],
-       assoc=False, alpha=1, family="J_{4,8}"),
-    _e("J_{4,8}^{-1}", "real", 4, [(1, 1, 3, 1), (2, 2, 3, -1), (1, 3, 4, 1)],
-       assoc=False, alpha=-1, family="J_{4,8}"),
-    _e("J_{4,9}", "real", 4,
-       [(1, 1, 3, 1), (2, 2, 3, -1), (1, 3, 4, 1), (2, 3, 4, 1)],
-       assoc=False),
-    _e("J_{4,10}", "real", 4,
-       [(1, 1, 3, 1), (2, 2, 3, -1), (1, 3, 4, 1), (2, 3, 4, 1), (1, 2, 4, 1)],
-       assoc=False),
-    _e("J_{4,11}", "real", 4,
-       [(1, 1, 2, 1), (1, 2, 3, 1), (1, 3, 4, 1), (2, 2, 4, 1)]),
-    _e("J_{4,12}", "real", 4, [(1, 1, 3, 1), (1, 2, 4, 1)]),
-    _e("J_{4,13}^{+1}", "real", 4, [(1, 1, 3, 1), (2, 2, 3, 1), (1, 2, 4, 1)],
-       alpha=1, family="J_{4,13}"),
-    _e("J_{4,13}^{-1}", "real", 4, [(1, 1, 3, 1), (2, 2, 3, -1), (1, 2, 4, 1)],
-       alpha=-1, family="J_{4,13}"),
-]
+# Over R the closed classes stay, except that R* has two square classes:
+# each family below splits into members ^{+1} and ^{-1}, in which the
+# coefficient of the named product e_i ∘ e_j = e_k is alpha = ±1.
+_REAL_SPLITS = {
+    "J_{3,3}": (2, 2, 3),                                             # b^2 = alpha c
+    "J_{4,3}": (2, 2, 3),
+    "J_{4,5}": (3, 3, 4),                                             # c^2 = alpha d
+    "J_{4,8}": (2, 2, 3),
+    "J_{4,13}": (2, 2, 3),
+}
+
+
+def _real_entries(entry):
+    """The real entries of a closed one: itself, or its two family members."""
+    entry = replace(entry, case="real")
+    slot = _REAL_SPLITS.get(entry.entry_id)
+    if slot is None:
+        return [entry]
+    members = []
+    for alpha in (1, -1):
+        sup = f"^{{{alpha:+d}}}"
+        members.append(replace(
+            entry, entry_id=entry.entry_id + sup, family=entry.entry_id,
+            products=tuple((i, j, k, alpha * c if (i, j, k) == slot else c)
+                           for i, j, k, c in entry.products),
+            decomposition=" + ".join(
+                part + sup if part in _REAL_SPLITS else part
+                for part in entry.decomposition.split(" + "))))
+    return members
+
 
 _BY_CASE = {
     "closed": _DIM3_CLOSED + _DIM4_CLOSED,
     "char2": _DIM3_CHAR2,
-    "real": _DIM3_REAL + _DIM4_REAL,
+    "real": [r for e in _DIM3_CLOSED + _DIM4_CLOSED for r in _real_entries(e)],
 }
 
 
@@ -214,7 +192,7 @@ def _pair_job(args):
     entries = catalog(case, dim)
     e1, e2 = entries[i], entries[j]
     fld = entry_field(case)
-    if case == "real" and e1.merges_over_closure_with(e2):
+    if e1.family is not None and e1.family == e2.family:
         return (e1.entry_id, e2.entry_id, "skipped-square-class", True,
                 "closure-merged; distinctness over the reals out of scope")
     mode = (isotest.MODE_BASE_FIELD_FIRST if fld.is_prime_field

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from jordannil import linalg, tables
-from jordannil.algebra import Algebra, zero_algebra
+from jordannil.algebra import Algebra, is_isomorphism, zero_algebra
 from jordannil.classify import classify_dim
 from jordannil.field import GF, QQ
 
@@ -175,23 +175,30 @@ def test_change_basis_paper_example():
     assert a.change_basis(p) == Algebra(QQ, 3, {(1, 1, 3): 1, (2, 2, 3): -1})
 
 
+def random_invertible(rnd, fld, n):
+    while True:
+        m = tuple(tuple(fld.of(rnd.randint(-3, 3)) for _ in range(n))
+                  for _ in range(n))
+        if linalg.invert(fld, m) is not None:
+            return m
+
+
 def test_change_basis_is_group_action():
+    # seeded random commutative tables, not necessarily Jordan
     rnd = random.Random(3)
-    f5 = GF(5)
-    a = j34(f5)
-    ident = linalg.identity(f5, 3)
-    for _ in range(10):
-        while True:
-            p = tuple(tuple(rnd.randrange(5) for _ in range(3)) for _ in range(3))
-            if linalg.invert(f5, p) is not None:
-                break
-        while True:
-            q = tuple(tuple(rnd.randrange(5) for _ in range(3)) for _ in range(3))
-            if linalg.invert(f5, q) is not None:
-                break
-        assert a.change_basis(ident) == a
-        assert a.change_basis(p).change_basis(q) == \
-            a.change_basis(linalg.mat_mul(f5, q, p))
+    for fld in (GF(2), GF(3), GF(5), QQ):
+        for n in (2, 3, 4):
+            for _ in range(4):
+                a = Algebra(fld, n, {
+                    (i, j, k): rnd.randint(-3, 3)
+                    for i in range(1, n + 1) for j in range(i, n + 1)
+                    for k in range(1, n + 1) if rnd.random() < 0.4})
+                p = random_invertible(rnd, fld, n)
+                q = random_invertible(rnd, fld, n)
+                assert a.change_basis(linalg.identity(fld, n)) == a
+                assert a.change_basis(p).change_basis(q) == \
+                    a.change_basis(linalg.mat_mul(fld, q, p))
+                assert is_isomorphism(a.change_basis(p), a, p)
 
 
 def test_direct_sum_examples(catalog_algebra):

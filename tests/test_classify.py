@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from functools import reduce
 from itertools import product as iproduct
@@ -7,11 +8,11 @@ import pytest
 
 from jordannil import extension, homsearch, isotest, linalg, tables
 from jordannil.algebra import Algebra, fingerprint_key, zero_algebra
-from jordannil.classify import (InstanceTooLargeError, brute_force_classes,
-                                classify_dim, descendants_with_reps,
-                                nilpotent_jordan_tables)
+from jordannil.classify import (brute_force_classes, classify_dim,
+                                descendants_with_reps, nilpotent_jordan_tables)
 from jordannil.field import GF, QQ
 from jordannil.files import render_algebra
+from jordannil.limits import ResourceLimitError
 from jordannil.orbits import automorphism_group
 
 from theory import (automorphisms, descendants, gl_order, match_classes,
@@ -92,10 +93,21 @@ def test_classes_pairwise_non_isomorphic(p, top):
 def test_brute_force_counts():
     assert len(brute_force_classes(2, GF(2))) == 2
     assert len(brute_force_classes(2, GF(3))) == 2
-    with pytest.raises(InstanceTooLargeError):
+    with pytest.raises(ResourceLimitError):
         brute_force_classes(3, GF(3))
     with pytest.raises(ValueError):
         brute_force_classes(2, QQ)
+
+
+def test_oracle_dim1_iterates_the_field_lazily():
+    # itertools.product would copy range(p) into a tuple of p ints
+    tracemalloc.start()
+    try:
+        assert len(brute_force_classes(1, GF(100003))) == 1
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def left_power_is_zero(a, i):
@@ -274,6 +286,37 @@ def test_catalog_counts_and_flags():
     assert len(tables.catalog("real", 3)) == 5
     with pytest.raises(ValueError):
         tables.catalog("complex")
+
+
+REAL_IDS = {
+    3: ["J_{3,1}", "J_{3,2}", "J_{3,3}^{+1}", "J_{3,3}^{-1}", "J_{3,4}"],
+    4: ["J_{4,1}", "J_{4,2}", "J_{4,3}^{+1}", "J_{4,3}^{-1}", "J_{4,4}",
+        "J_{4,5}^{+1}", "J_{4,5}^{-1}", "J_{4,6}", "J_{4,7}", "J_{4,8}^{+1}",
+        "J_{4,8}^{-1}", "J_{4,9}", "J_{4,10}", "J_{4,11}", "J_{4,12}",
+        "J_{4,13}^{+1}", "J_{4,13}^{-1}"],
+}
+
+
+@pytest.mark.parametrize("dim", [3, 4])
+def test_real_catalog_ids_in_order(dim):
+    entries = tables.catalog("real", dim)
+    assert [e.entry_id for e in entries] == REAL_IDS[dim]
+    assert all((e.family is None) == ("^" not in e.entry_id)
+               and e.case == "real" for e in entries)
+    # a ^{-1} member negates b² = c (c² = d in J_{4,5}) of its closed entry
+    closed = {e.entry_id: e for e in tables.catalog("closed", dim)}
+    for e in entries:
+        base = closed[e.family or e.entry_id]
+        slot = (3, 3, 4) if e.family == "J_{4,5}" else (2, 2, 3)
+        sign = -1 if e.entry_id.endswith("^{-1}") else 1
+        assert e.products == tuple(
+            (i, j, k, sign * c if (i, j, k) == slot else c)
+            for i, j, k, c in base.products)
+    # pairs name their entries in list order
+    ids = REAL_IDS[dim]
+    report = tables.catalog_verify("real", dim)
+    assert {(a, b) for a, b, *_ in report.pair_checks} == \
+        {(a, b) for i, a in enumerate(ids) for b in ids[i + 1:]}
 
 
 def test_catalog_entries_check_out(all_catalog_entries):

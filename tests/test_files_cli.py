@@ -172,8 +172,16 @@ def test_cli_oracle(capsys):
     code, out = run_cli(capsys, "oracle", "--dim", "2", "--field", "F:3")
     assert code == 0
     assert "2 classes" in out
-    assert cli.main(["oracle", "--dim", "3", "--field", "F:3"]) == 2
-    capsys.readouterr()
+
+
+@pytest.mark.parametrize("dim, field, count", [("3", "F:3", "3^18"),
+                                               ("2", "F:13", "13^6")])
+def test_cli_oracle_above_the_bound_exits_3(capsys, dim, field, count):
+    assert cli.main(["oracle", "--dim", dim, "--field", field]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"resource limit: {count} tables exceed the "
+                            "oracle bound 2000000\n")
 
 
 def test_cli_oracle_dim1_near_the_bound(capsys):

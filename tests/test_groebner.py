@@ -1,8 +1,10 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from jordannil import cli
 from jordannil.field import GF, QQ
 from jordannil.groebner import (PolyRing, buchberger, contains_one,
                                 mono_div, mono_divides, mono_lcm, mono_mul,
@@ -133,6 +135,35 @@ def test_generators_lie_in_ideal_of_basis():
     for p in polys:
         assert reduce_poly(p, basis).is_zero()
 
+
+
+def test_cli_gb_files_ignore_order_comments_and_blanks(tmp_path, capsys):
+    # each seeded system is written twice; the second copy has its
+    # generators shuffled and comment and blank lines added
+    rnd = random.Random(61)
+    for order in ORDER_NAMES:
+        for fld, spec in ((QQ, "Q"), (GF(7), "F 7")):
+            for _ in range(6):
+                ring, polys = random_system(rnd, fld, order=order)
+                if not polys:
+                    continue
+                head = [f"field {spec}", "vars " + " ".join(ring.names)]
+                gens = [p.render() for p in polys]
+                noisy = [f"{g}  # generator" for g in gens]
+                rnd.shuffle(noisy)
+                outs = []
+                for name, lines in (("plain.gb", head + gens),
+                                    ("noisy.gb", ["# a system", ""] + head
+                                     + ["", "   "] + noisy + [""])):
+                    path = tmp_path / name
+                    path.write_text("\n".join(lines) + "\n")
+                    assert cli.main(["gb", str(path), "--order", order,
+                                     "--json"]) == 0
+                    outs.append(capsys.readouterr().out)
+                assert outs[0] == outs[1]
+                basis = [ring.parse(t) for t in json.loads(outs[0])["basis"]]
+                assert basis == buchberger(polys)
+                assert all(reduce_poly(p, basis).is_zero() for p in polys)
 
 def test_resource_limits(monkeypatch):
     ring = PolyRing(QQ, ["x", "y", "z"])
