@@ -6,11 +6,10 @@ the full table is materialized for O(1) lookup.  All values are immutable.
 """
 
 from collections import namedtuple
-from itertools import product as iproduct
+from operator import add
 import string
 
 from . import linalg
-from .limits import check_points
 from .linalg import Subspace
 
 
@@ -127,15 +126,11 @@ class Algebra:
                     out[k] = f.add(out[k], f.mul(xi, t))
         return tuple(out)
 
-    def all_vectors(self):
-        if not self.field.is_prime_field:
-            raise ValueError("cannot enumerate vectors over Q")
-        return iproduct(range(self.field.p), repeat=self.dim)
-
     # -- identities -------------------------------------------------------
 
     def check_jordan(self):
-        """x² ∘ (x ∘ e_j) = x ∘ (x² ∘ e_j) at every point x of jordan_points."""
+        """x² ∘ (x ∘ e_j) = x ∘ (x² ∘ e_j) at the generic point x of
+        jordan_terms, hence at every x in fieldⁿ."""
         if "jordan" not in self._cache:
             self._cache["jordan"] = all(
                 self._sym_product(*lhs) == self._sym_product(*rhs)
@@ -151,7 +146,7 @@ class Algebra:
                 w = self.product(v1, v2)
                 if not any(w):
                     continue
-                m = tuple(a + b for a, b in zip(m1, m2))
+                m = lambda_product(f, m1, m2)
                 if m in out:
                     out[m] = tuple(f.add(a, b) for a, b in zip(out[m], w))
                     if not any(out[m]):
@@ -272,39 +267,39 @@ def zero_algebra(field, n):
     return Algebra(field, n)
 
 
-def jordan_points(a):
-    """Points where the Jordan identity is imposed, as polynomial vectors.
+def lambda_product(field, m1, m2):
+    """The λ-monomial m1·m2 as a function on fieldⁿ.
 
-    A polynomial vector is {exponent tuple over λ_1..λ_n: coordinate vector}.
-    Over F_2 and F_3 the identity is pointwise: every nonzero vector of
-    F_pⁿ, as a constant.  Elsewhere it is the polynomial identity at the
-    generic point x = Σ λ_i e_i; each λ_i has degree ≤ 3 < p there, so this
-    is the same as the pointwise identity and as its full linearization.
-    Raises ResourceLimitError before allocating when the pⁿ - 1 points
-    exceed the `points` limit.
+    Over F_p every λ satisfies λ^p = λ, so an exponent e ≥ p is read as
+    (e - 1) mod (p - 1) + 1.  A polynomial reduced this way is zero iff it
+    vanishes at every point of F_pⁿ (Lidl and Niederreiter, Finite Fields).
+    The identities have degree ≤ 3, so the rule never fires over Q or over
+    F_p with p ≥ 5.
     """
-    f = a.field
-    n = a.dim
-    if f.is_prime_field and f.p in (2, 3):
-        count = f.p ** n - 1
-        check_points(count, f"the Jordan identity would be checked at "
-                            f"{count} points ({f.p}^{n} - 1)")
-        return [{(): x} for x in a.all_vectors() if any(x)]
-    return [{tuple(1 if j == i else 0 for j in range(n)): linalg.unit(f, n, i)
-             for i in range(n)}]
+    m = tuple(map(add, m1, m2))
+    p = field.characteristic
+    if p and max(m, default=0) >= p:
+        m = tuple(e if e < p else (e - 1) % (p - 1) + 1 for e in m)
+    return m
 
 
 def jordan_terms(a):
     """The two sides of the Jordan identity, before their last product.
 
-    Yields ((x², x ∘ e_j), (x, x² ∘ e_j)) for each point x of jordan_points
-    and each j, so that the identity equates the products of the two pairs.
+    Yields ((x², x ∘ e_j), (x, x² ∘ e_j)) for each j at the generic point
+    x = Σ λ_i e_i, as polynomial vectors {exponent tuple over λ_1..λ_n:
+    coordinate vector} multiplied with lambda_product.  The identity equates
+    the products of the two pairs at every λ-monomial, which is the same as
+    equating them at every point x of fieldⁿ, over every field.
     """
-    for x in jordan_points(a):
-        xx = a._sym_product(x, x)
-        for j in range(a.dim):
-            yield ((xx, a._sym_product_basis(x, j)),
-                   (x, a._sym_product_basis(xx, j)))
+    f = a.field
+    n = a.dim
+    x = {tuple(1 if j == i else 0 for j in range(n)): linalg.unit(f, n, i)
+         for i in range(n)}
+    xx = a._sym_product(x, x)
+    for j in range(n):
+        yield ((xx, a._sym_product_basis(x, j)),
+               (x, a._sym_product_basis(xx, j)))
 
 
 def is_isomorphism(a, b, phi):

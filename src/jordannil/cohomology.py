@@ -8,7 +8,7 @@ canonical RREF bases.  S(i,j) denotes the dual basis form with value 1 on
 """
 
 from . import linalg
-from .algebra import jordan_terms
+from .algebra import jordan_terms, lambda_product
 from .linalg import Subspace
 
 
@@ -141,8 +141,9 @@ def cocycle_space(a):
     """Z²(J, K): symmetric θ with θ(x², x∘e_j) = θ(x, x²∘e_j).
 
     θ is applied to the pairs of `jordan_terms`, whose products
-    `check_jordan` compares: each λ-monomial of the difference gives one
-    linear condition on the triangle coordinates of θ.
+    `check_jordan` compares: each λ-monomial of the difference, read with
+    λ^p = λ over F_p, gives one linear condition on the triangle
+    coordinates of θ, so θ satisfies the identity at every point x.
     """
     f = a.field
     n = a.dim
@@ -154,7 +155,7 @@ def cocycle_space(a):
         op = f.add if sign > 0 else f.sub
         for m1, x in p.items():
             for m2, y in q.items():
-                m = tuple(u + v for u, v in zip(m1, m2))
+                m = lambda_product(f, m1, m2)
                 row = by_monomial.setdefault(m, [f.zero] * size)
                 for i in range(1, n + 1):
                     xi, yi = x[i - 1], y[i - 1]

@@ -24,13 +24,13 @@ pⁿ - 1 or 5ⁿ - 1 vectors, raises ResourceLimitError before it is built when
 it exceeds the `points` limit.
 
 Every isomorphism maps J^m (m ≥ 2), the centre Z and Z ∩ J² of a onto those
-of b, so `find_isomorphisms` returns no map at once when their dimensions
-differ, and over a prime field e_i ∈ S(a) iff phi(e_i) ∈ S(b) prunes the
-candidates (de Graaf prunes the same way for nilpotent Lie algebras,
-J. Algebra 309, 2007): the equations of S(b) join the linear system when
-e_i ∈ S(a), and otherwise the candidates in S(b) are dropped.  Pruning
-removes only subtrees without isomorphisms, so the witnesses stay those
-of the unpruned search.
+of b, so `find_isomorphisms` returns no map at once when the fingerprints,
+which hold their dimensions, differ, and over a prime field
+e_i ∈ S(a) iff phi(e_i) ∈ S(b) prunes the candidates (de Graaf prunes the
+same way for nilpotent Lie algebras, J. Algebra 309, 2007): the equations
+of S(b) join the linear system when e_i ∈ S(a), and otherwise the
+candidates in S(b) are dropped.  Pruning removes only subtrees without
+isomorphisms, so the witnesses stay those of the unpruned search.
 
 The square-zero cone {x : x ∘ x = 0} is a characteristic set: every
 isomorphism maps the cone of a onto that of b.  Over a prime field, for
@@ -97,16 +97,11 @@ def _candidate_vectors(a):
 def _characteristic_pairs(a, b):
     """(S(a), S(b)) for S = J^m (m >= 2), Z and Z ∩ J².
 
-    Every isomorphism a -> b maps each S(a) onto S(b).  A lower central
-    series that stops early is padded with its last term, which is where it
-    stays, so the pairs line up however long the two series are.
+    Every isomorphism a -> b maps each S(a) onto S(b).  a and b have the
+    same fingerprint, so their lower central series have the same length.
     """
-    series_a = list(a.lower_central_series())
-    series_b = list(b.lower_central_series())
-    m = max(len(series_a), len(series_b))
-    series_a += series_a[-1:] * (m - len(series_a))
-    series_b += series_b[-1:] * (m - len(series_b))
-    pairs = list(zip(series_a[1:], series_b[1:]))
+    pairs = list(zip(a.lower_central_series()[1:],
+                     b.lower_central_series()[1:]))
     za, zb = a.centre(), b.centre()
     pairs.append((za, zb))
     pairs.append((za.intersection(a.square()), zb.intersection(b.square())))
@@ -378,9 +373,9 @@ def find_isomorphisms(a, b):
     ident = linalg.identity(f, a.dim)
     if is_isomorphism(a, b, ident):      # a = b, dim 0 included
         return [ident]
-    pairs = _characteristic_pairs(a, b)
-    if any(sa.dim != sb.dim for sa, sb in pairs):
+    if a.fingerprint() != b.fingerprint():
         return []
+    pairs = _characteristic_pairs(a, b)
     candidates = _candidate_vectors(a)
     square_zero = None
     if f.is_prime_field:

@@ -9,6 +9,7 @@ families split into members ^{+1} and ^{-1} (_REAL_SPLITS).
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
+import os
 
 from . import isotest
 from .algebra import Algebra, default_labels
@@ -236,9 +237,12 @@ def catalog_verify(case, dim=None, jobs=1):
         for ii, i in enumerate(idxs):
             for j in idxs[ii + 1:]:
                 jobs_args.append((case, dim, i, j))
-    if jobs > 1 and jobs_args:
+    # a pool starts all its workers at once, so never more than there are
+    # pairs or processors
+    workers = min(jobs, len(jobs_args), os.cpu_count() or 1)
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_pair_job, jobs_args))
     else:
         results = [_pair_job(a) for a in jobs_args]

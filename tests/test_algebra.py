@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product as iproduct
 
 import pytest
 
@@ -65,7 +66,7 @@ def test_jordan_catalog_and_edge_cases(all_catalog_entries):
 
 def _pointwise_jordan(a):
     # reference: x² ∘ (x ∘ e_j) = x ∘ (x² ∘ e_j) at every vector x of F_pⁿ
-    for x in a.all_vectors():
+    for x in iproduct(range(a.field.p), repeat=a.dim):
         xx = a.product(x, x)
         for j in range(a.dim):
             if a.product(xx, a.product_basis(x, j)) \
@@ -74,57 +75,54 @@ def _pointwise_jordan(a):
     return True
 
 
-def _generic_point_jordan(a):
-    # the polynomial identity at x = Σ λ_i e_i, every λ-coefficient equal
-    f = a.field
-    n = a.dim
-    x = {tuple(int(j == i) for j in range(n)): linalg.unit(f, n, i)
-         for i in range(n)}
-    xx = a._sym_product(x, x)
-    for j in range(n):
-        ej = {(0,) * n: linalg.unit(f, n, j)}
-        if a._sym_product(xx, a._sym_product(x, ej)) \
-                != a._sym_product(x, a._sym_product(xx, ej)):
-            return False
-    return True
-
-
 def test_jordan_strategies_agree_f5():
-    # over F_5 check_jordan uses the generic point; it must agree with the
-    # pointwise identity on every vector
+    # check_jordan imposes the identity at the generic point, with λ^p = λ
+    # over F_p; it must agree with the pointwise identity on every vector
+    # over F_2 and F_3, where the rule fires, as over F_5, where it does not
     rnd = random.Random(9)
-    f5 = GF(5)
-    verdicts = set()
-    for n in (2, 3):
-        for _ in range(40):
-            consts = {}
-            for i in range(1, n + 1):
-                for j in range(i, n + 1):
-                    for k in range(1, n + 1):
-                        c = rnd.randrange(5) if rnd.random() < 0.5 / n else 0
-                        if c:
-                            consts[(i, j, k)] = c
-            a = Algebra(f5, n, consts)
-            assert a.check_jordan() == _pointwise_jordan(a), a
-            verdicts.add(a.check_jordan())
-    assert verdicts == {True, False}
+    for p in (2, 3, 5):
+        fld = GF(p)
+        verdicts = set()
+        for n in (2, 3, 4):
+            for _ in range(40):
+                consts = {}
+                for i in range(1, n + 1):
+                    for j in range(i, n + 1):
+                        for k in range(1, n + 1):
+                            c = (rnd.randrange(p) if rnd.random() < 0.5 / n
+                                 else 0)
+                            if c:
+                                consts[(i, j, k)] = c
+                a = Algebra(fld, n, consts)
+                assert a.check_jordan() == _pointwise_jordan(a), a
+                verdicts.add(a.check_jordan())
+        assert verdicts == {True, False}, p
+
+
+def test_jordan_identity_is_read_as_a_function_over_f2():
+    # e1² = e1, e1e2 = e1 + e2, e2² = e2 satisfies the identity at every
+    # point of F_2², but not as a polynomial in λ: λ1²λ2 and λ1λ2 are
+    # different monomials and the same function
+    a = Algebra(GF(2), 2, {(1, 1, 1): 1, (1, 2, 1): 1, (1, 2, 2): 1,
+                           (2, 2, 2): 1})
+    assert _pointwise_jordan(a) and a.check_jordan()
 
 
 def test_jordan_strategies_agree_on_catalog_over_f3():
     for entry in tables.catalog("closed"):
         a = entry.algebra(GF(3))
-        assert a.check_jordan() and _generic_point_jordan(a), entry.entry_id
+        assert a.check_jordan() and _pointwise_jordan(a), entry.entry_id
 
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_jordan_generic_point_agrees_on_classes(p):
-    # over F_2/F_3 the Jordan notion is pointwise; on every classified
-    # class up to dim 4 it agrees with the polynomial identity
+    # on every classified class up to dim 4 the generic point agrees with
+    # the pointwise identity
     memo = {}
     for n in range(1, 5):
         result = classify_dim(n, GF(p), memo)
         for idx, a in enumerate(result.representatives):
-            assert a.check_jordan() == _generic_point_jordan(a), \
+            assert a.check_jordan() == _pointwise_jordan(a), \
                 f"dim-{n} class #{idx + 1} over F_{p} disagrees: {a}"
 
 

@@ -1,3 +1,5 @@
+import concurrent.futures
+import os
 import random
 import tracemalloc
 from fractions import Fraction
@@ -438,6 +440,33 @@ def test_catalog_verify_builds_each_entry_once(monkeypatch):
         tables._entry_algebra.cache_clear()
     assert rep.ok
     assert sorted(built) == sorted(e.entry_id for e in tables.catalog("closed", 3))
+
+
+@pytest.mark.parametrize("cpus, workers", [(4, [4]), (64, [6]), (None, [])])
+def test_catalog_verify_caps_workers(monkeypatch, cpus, workers):
+    # closed dim 3 has 6 pairs; a pool forks all its workers on first use,
+    # so --jobs is capped by the pairs and the processors
+    requested = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    serial = tables.catalog_verify("closed", 3)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    report = tables.catalog_verify("closed", 3, jobs=10 ** 6)
+    assert requested == workers
+    assert report == serial
 
 
 def test_catalog_verify_parallel_matches_serial():

@@ -7,10 +7,8 @@ import pytest
 
 from jordannil import cli, homsearch, orbits, tables
 from jordannil.algebra import Algebra
-from jordannil.cohomology import cocycle_space
 from jordannil.field import GF, QQ
 from jordannil.files import AlgebraFileError, parse_algebra_file, render_algebra
-from jordannil.limits import ResourceLimitError
 
 
 def test_round_trip_catalog(all_catalog_entries):
@@ -363,26 +361,22 @@ def test_cli_large_prime_field(tmp_path, capsys):
             f"error: bad field spec '{spec}': ")
 
 
-def test_cli_check_jordan_points_bound_exits_3(tmp_path, capsys,
-                                              monkeypatch):
-    # over F_2 the Jordan identity is checked at all 2^7 - 1 points; the
-    # bound is compared before one of them is listed
-    text = "field F 2\ndim 7\n1 1 : 2:1\n"
-    path = write(tmp_path, "sq7.alg", text)
-    monkeypatch.setenv("JORDAN_LIMITS", "points=100")
-    assert cli.main(["check", path]) == 3
+def test_cli_points_bound_spares_the_jordan_identity(tmp_path, capsys,
+                                                     monkeypatch):
+    # the Jordan and cocycle identities are imposed at the generic point
+    # over F_2 too, so the `points` bound guards only what lists points
+    path = write(tmp_path, "sq7.alg", "field F 2\ndim 7\n1 1 : 2:1\n")
+    monkeypatch.delenv("JORDAN_LIMITS", raising=False)
+    unbounded = [run_cli(capsys, "check", path),
+                 run_cli(capsys, "cocycles", path, "--json")]
+    monkeypatch.setenv("JORDAN_LIMITS", "points=1")
+    assert [run_cli(capsys, "check", path),
+            run_cli(capsys, "cocycles", path, "--json")] == unbounded
+    assert [code for code, _ in unbounded] == [0, 0]
+    assert unbounded[0][1].startswith("Jordan: yes")
+    assert cli.main(["orbits", path, "--r", "1"]) == 3
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == ("resource limit: the Jordan identity would be "
-                            "checked at 127 points (2^7 - 1), above the "
-                            "bound 100 (JORDAN_LIMITS points=N overrides "
-                            "it)\n")
-    # the cocycle space imposes its condition at the same points
-    with pytest.raises(ResourceLimitError):
-        cocycle_space(parse_algebra_file(text))
-    monkeypatch.delenv("JORDAN_LIMITS")
-    code, out = run_cli(capsys, "check", path)
-    assert code == 0 and out.startswith("Jordan: yes")
+    assert captured.out == "" and captured.err.startswith("resource limit: ")
 
 
 @pytest.mark.parametrize("argv", [["classify", "--dim", "3", "--field",
