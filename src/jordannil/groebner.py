@@ -1,69 +1,39 @@
 """Multivariate polynomials and Buchberger's algorithm over Q and F_p.
 
-Monomials are exponent tuples over the ring's fixed variable list.  The
-default order is degree-reverse-lexicographic; lexicographic is available.
-`reduce_poly` is the one normal-form routine; it pops lead terms from a
-heap under the order's descending key, with lazy deletion of cancelled
-terms.  `buchberger` keeps the open S-pairs in a heap keyed once by
-(order key of the lcm, (i, j)) and pops the least, the normal selection
-strategy (Cox, Little and O'Shea, ch. 2 §§9–10).  It returns the reduced
-Groebner basis (monic, inter-reduced, unique for the order) and raises
-ResourceLimitError instead of running away on intractable input; its
-budgets come from JORDAN_LIMITS.
+A monomial is one int: its exponent vector packed into W-bit fields, the
+top bit of each a guard bit (Monagan and Pearce, CASC 2007).  In degrevlex
+the high fields hold (deg, e_1+...+e_{n-1}, ..., e_1) and the low ones
+e_1 ... e_n; in lex the fields are e_1 ... e_n, e_1 most significant.  So
+the int order is the term order, a product is a sum, a divides b iff b - a
+sets no guard bit, and a, b are coprime iff their lcm is a + b.  PolyRing
+packs and unpacks at the edges (`poly`, `var`, `parse`, `render`), where a
+field past BOUND is a ValueError; inside a product or lcm it is a
+ResourceLimitError.  `reduce_poly` is the one normal-form routine; it pops
+lead terms from a heap of negated monomials, lazily deleting cancelled ones.
+`buchberger` keeps the open S-pairs in a heap of (lcm, (i, j)) and pops the
+least, the normal selection strategy (Cox, Little and O'Shea, ch. 2
+§§9–10).  It returns the reduced Groebner basis (monic, inter-reduced,
+unique for the order) and raises ResourceLimitError instead of running
+away on intractable input; its budgets come from JORDAN_LIMITS.
 """
 
 from heapq import heapify, heappop, heappush
 
 from .limits import Limits, ResourceLimitError
 
-
-# -- monomials ------------------------------------------------------------
-
-def mono_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def mono_div(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def mono_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
-def mono_divides(a, b):
-    return all(x <= y for x, y in zip(a, b))
-
-
-def lex_key(m):
-    return m
-
-
-def lex_desc_key(m):
-    return tuple(-e for e in m)
-
-
-def degrevlex_key(m):
-    return (sum(m), tuple(-e for e in reversed(m)))
-
-
-def degrevlex_desc_key(m):
-    return (-sum(m), m[::-1])
-
-
-# order name -> (ascending key, descending key): the descending key sorts
-# the largest monomial first, as heapq pops it
-ORDERS = {"lex": (lex_key, lex_desc_key),
-          "degrevlex": (degrevlex_key, degrevlex_desc_key)}
+W = 32                       # bits per exponent field, guard bit included
+BOUND = (1 << (W - 1)) - 1   # the largest exponent or degree a field holds
+_OVERFLOW = f"a monomial's exponent or degree exceeds {BOUND}"
 
 
 class PolyRing:
     """Polynomial ring: a field, named variables and a monomial order."""
 
-    __slots__ = ("field", "names", "order", "key", "desc_key", "_index")
+    __slots__ = ("field", "names", "order", "guard", "_index", "_units",
+                 "_shifts")
 
     def __init__(self, field, names, order="degrevlex"):
-        if order not in ORDERS:
+        if order not in ("lex", "degrevlex"):
             raise ValueError(f"unknown monomial order {order!r}")
         names = tuple(names)
         for name in names:
@@ -74,22 +44,28 @@ class PolyRing:
         self.field = field
         self.names = names
         self.order = order
-        self.key, self.desc_key = ORDERS[order]
         self._index = {name: i for i, name in enumerate(self.names)}
+        n = len(names)
+        # e_i sits in field n - 1 - i (field 0 is the least significant);
+        # in degrevlex e_1 + ... + e_k sits in field n + k - 1, so x_i also
+        # adds 1 to every field from n + i up; ones has 1 in every field
+        ones = sum(1 << W * f for f in range(2 * n if order == "degrevlex" else n))
+        self.guard = ones << W - 1
+        self._shifts = tuple(W * (n - 1 - i) for i in range(n))
+        self._units = tuple((1 << s) + (ones >> W * (n + i) << W * (n + i))
+                            for i, s in enumerate(self._shifts))
 
     @property
     def nvars(self):
         return len(self.names)
 
-    def zero_mono(self):
-        return (0,) * self.nvars
-
     def poly(self, terms):
+        """The polynomial of {exponent vector: coefficient}."""
         clean = {}
         for m, c in terms.items():
             c = self.field.of(c)
             if c:
-                clean[tuple(m)] = c
+                clean[self.pack(m)] = c
         return Polynomial(self, clean)
 
     def zero(self):
@@ -97,14 +73,12 @@ class PolyRing:
 
     def const(self, c):
         c = self.field.of(c)
-        return Polynomial(self, {self.zero_mono(): c} if c else {})
+        return Polynomial(self, {0: c} if c else {})
 
     def var(self, name_or_index):
         i = (self._index[name_or_index] if isinstance(name_or_index, str)
              else name_or_index)
-        m = [0] * self.nvars
-        m[i] = 1
-        return Polynomial(self, {tuple(m): self.field.one})
+        return Polynomial(self, {self._units[i]: self.field.one})
 
     def parse(self, text):
         return parse_polynomial(self, text)
@@ -118,6 +92,34 @@ class PolyRing:
 
     def __repr__(self):
         return f"PolyRing({self.field!r}, {'.'.join(self.names)}, {self.order})"
+
+    def pack(self, exps):
+        """The monomial of an exponent vector; ValueError past BOUND."""
+        exps = tuple(exps)
+        if len(exps) != self.nvars or min(exps, default=0) < 0:
+            raise ValueError(f"bad exponent vector {exps}")
+        top, what = ((sum(exps), "degree") if self.order == "degrevlex"
+                     else (max(exps, default=0), "exponent"))
+        if top > BOUND:
+            raise ValueError(f"{what} {top} exceeds the bound {BOUND}")
+        return sum(e * u for e, u in zip(exps, self._units))
+
+    def unpack(self, m):
+        """The exponent vector of a monomial."""
+        return tuple(m >> s & BOUND for s in self._shifts)
+
+    def lcm(self, a, b):
+        m = sum(max(x, y) * u for x, y, u in
+                zip(self.unpack(a), self.unpack(b), self._units))
+        if m & self.guard:
+            raise ResourceLimitError(_OVERFLOW)
+        return m
+
+    def _checked(self, terms):
+        # a product of two monomials in range overflows into guard bits only
+        if any(m & self.guard for m in terms):
+            raise ResourceLimitError(_OVERFLOW)
+        return Polynomial(self, terms)
 
 
 class Polynomial:
@@ -135,11 +137,11 @@ class Polynomial:
         return bool(self.terms)
 
     def is_constant(self):
-        return not self.terms or set(self.terms) == {self.ring.zero_mono()}
+        return set(self.terms) <= {0}
 
     def lead_monomial(self):
         if self._lead is None and self.terms:
-            self._lead = max(self.terms, key=self.ring.key)
+            self._lead = max(self.terms)
         return self._lead
 
     def lead_coeff(self):
@@ -177,44 +179,47 @@ class Polynomial:
         out = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                m = mono_mul(m1, m2)
+                m = m1 + m2
                 nc = f.add(out.get(m, f.zero), f.mul(c1, c2))
                 if nc:
                     out[m] = nc
                 elif m in out:
                     del out[m]
-        return Polynomial(self.ring, out)
+        return self.ring._checked(out)
 
     def mul_term(self, coeff, mono):
         f = self.ring.field
         if not coeff:
             return Polynomial(self.ring, {})
-        return Polynomial(self.ring, {mono_mul(m, mono): f.mul(c, coeff)
-                                      for m, c in self.terms.items()})
+        return self.ring._checked({m + mono: f.mul(c, coeff)
+                                   for m, c in self.terms.items()})
 
     def scale(self, coeff):
-        return self.mul_term(coeff, self.ring.zero_mono())
+        return self.mul_term(coeff, 0)
 
     def substitute(self, mapping):
         """Replace variables by polynomials; mapping keys are var indices."""
         ring = self.ring
         out = ring.zero()
-        pow_cache = {}
+        kept = {}   # the terms with no variable of mapping
+        pows = {}
         for m, c in self.terms.items():
-            residual = list(m)
-            factor = ring.const(c)
-            for i, e in enumerate(m):
-                if e and i in mapping:
-                    residual[i] = 0
-                    key = (i, e)
-                    if key not in pow_cache:
-                        acc = ring.const(1)
-                        for _ in range(e):
-                            acc = acc * mapping[i]
-                        pow_cache[key] = acc
-                    factor = factor * pow_cache[key]
-            out = out + factor.mul_term(ring.field.one, tuple(residual))
-        return out
+            factor = None
+            for i, p in mapping.items():
+                e = m >> ring._shifts[i] & BOUND
+                if e:
+                    m -= e * ring._units[i]
+                    if (i, e) not in pows:
+                        pows[i, e] = p
+                        for _ in range(e - 1):
+                            pows[i, e] = pows[i, e] * p
+                    factor = (pows[i, e] if factor is None
+                              else factor * pows[i, e])
+            if factor is None:
+                kept[m] = c
+            else:
+                out = out + factor.mul_term(c, m)
+        return out + Polynomial(ring, kept)
 
     def __eq__(self, other):
         return (isinstance(other, Polynomial) and self.ring == other.ring
@@ -229,10 +234,10 @@ class Polynomial:
         f = self.ring.field
         names = self.ring.names
         parts = []
-        for m in sorted(self.terms, key=self.ring.key, reverse=True):
+        for m in sorted(self.terms, reverse=True):
             c = self.terms[m]
             factors = []
-            for i, e in enumerate(m):
+            for i, e in enumerate(self.ring.unpack(m)):
                 if e == 1:
                     factors.append(names[i])
                 elif e > 1:
@@ -312,36 +317,38 @@ def reduce_poly(f, basis):
     by any basis lead monomial, and f - result lies in the basis ideal."""
     ring = f.ring
     fld = ring.field
-    desc = ring.desc_key
+    guard = ring.guard
     data = [(g.lead_monomial(), g.lead_coeff(), g.terms)
             for g in basis if g.terms]
     work = dict(f.terms)
-    # every monomial that enters work is pushed once; a cancelled one stays
-    # in the heap and is skipped when popped
-    heap = [(desc(m), m) for m in work]
+    # the heap holds -m, so the largest monomial pops first; each monomial is
+    # pushed as it enters work, and one cancelled since is skipped when popped
+    heap = [-m for m in work]
     heapify(heap)
     rem = {}
     while heap:
-        m = heappop(heap)[1]
+        m = -heappop(heap)
         c = work.pop(m, None)
         if c is None:
             continue
         for lm, lc, terms in data:
-            if mono_divides(lm, m):
+            q = m - lm
+            if not q & guard:
                 break
         else:
             rem[m] = c
             continue
-        q = mono_div(m, lm)
         factor = fld.div(c, lc)
         for tm, tc in terms.items():
             if tm == lm:
                 continue
-            mm = mono_mul(tm, q)
+            mm = tm + q
             old = work.get(mm)
             if old is None:
+                if mm & guard:
+                    raise ResourceLimitError(_OVERFLOW)
                 work[mm] = fld.neg(fld.mul(factor, tc))
-                heappush(heap, (desc(mm), mm))
+                heappush(heap, -mm)
             else:
                 nc = fld.sub(old, fld.mul(factor, tc))
                 if nc:
@@ -357,9 +364,9 @@ def s_polynomial(f, g):
         raise ValueError("S-polynomial of zero polynomial")
     fld = f.ring.field
     lmf, lmg = f.lead_monomial(), g.lead_monomial()
-    lcm = mono_lcm(lmf, lmg)
-    part1 = f.mul_term(fld.inv(f.lead_coeff()), mono_div(lcm, lmf))
-    part2 = g.mul_term(fld.inv(g.lead_coeff()), mono_div(lcm, lmg))
+    lcm = f.ring.lcm(lmf, lmg)
+    part1 = f.mul_term(fld.inv(f.lead_coeff()), lcm - lmf)
+    part2 = g.mul_term(fld.inv(g.lead_coeff()), lcm - lmg)
     return part1 - part2
 
 
@@ -393,12 +400,13 @@ def buchberger(gens):
     basis = _interreduce(gens)
     if not basis:
         return []
-    key = ring.key
+    guard, lcm = ring.guard, ring.lcm
+    leads = [g.lead_monomial() for g in basis]
     # the open S-pairs (i, j), i < j, each with the lcm of its lead monomials
-    pairs = {(i, j): mono_lcm(basis[i].lead_monomial(), basis[j].lead_monomial())
+    pairs = {(i, j): lcm(leads[i], leads[j])
              for i in range(len(basis)) for j in range(i + 1, len(basis))}
-    # the same pairs, each pushed once, popped least (key(lcm), (i, j)) first
-    queue = [(key(lij), ij) for ij, lij in pairs.items()]
+    # the same pairs, each pushed once, popped least (lcm, (i, j)) first
+    queue = [(lij, ij) for ij, lij in pairs.items()]
     heapify(queue)
     processed = 0
     while queue:
@@ -408,18 +416,12 @@ def buchberger(gens):
         if processed > limits.max_pairs:
             raise ResourceLimitError(
                 f"S-pair budget exceeded ({limits.max_pairs})")
-        if lij == mono_mul(basis[i].lead_monomial(), basis[j].lead_monomial()):
+        if lij == leads[i] + leads[j]:
             continue  # coprime leads reduce to zero
-        skip = False
-        for k in range(len(basis)):
-            if k in (i, j):
-                continue
-            if mono_divides(basis[k].lead_monomial(), lij) \
-                    and (min(i, k), max(i, k)) not in pairs \
-                    and (min(j, k), max(j, k)) not in pairs:
-                skip = True
-                break
-        if skip:
+        if any(not (lij - lk) & guard and k != i and k != j
+               and (min(i, k), max(i, k)) not in pairs
+               and (min(j, k), max(j, k)) not in pairs
+               for k, lk in enumerate(leads)):
             continue
         r = reduce_poly(s_polynomial(basis[i], basis[j]), basis)
         if r.terms:
@@ -432,22 +434,19 @@ def buchberger(gens):
                 raise ResourceLimitError(
                     f"basis-size budget exceeded ({limits.max_basis})")
             basis.append(r)
-            lead = r.lead_monomial()
+            leads.append(r.lead_monomial())
             for u in range(t):
-                lut = mono_lcm(basis[u].lead_monomial(), lead)
-                pairs[(u, t)] = lut
-                heappush(queue, (key(lut), (u, t)))
+                pairs[u, t] = lcm(leads[u], leads[t])
+                heappush(queue, (pairs[u, t], (u, t)))
     return _reduced_basis(basis)
 
 
 def _reduced_basis(basis):
-    ring = basis[0].ring
-    key = ring.key
-    ordered = sorted(basis, key=lambda g: key(g.lead_monomial()))
+    guard = basis[0].ring.guard
     minimal = []
-    for g in ordered:
-        if not any(mono_divides(h.lead_monomial(), g.lead_monomial())
-                   for h in minimal):
+    for g in sorted(basis, key=Polynomial.lead_monomial):
+        lg = g.lead_monomial()
+        if all((lg - h.lead_monomial()) & guard for h in minimal):
             minimal.append(g)
     out = []
     for i, g in enumerate(minimal):
@@ -455,7 +454,7 @@ def _reduced_basis(basis):
         r = reduce_poly(g, others)
         if r.terms:
             out.append(r.monic())
-    return sorted(out, key=lambda g: key(g.lead_monomial()))
+    return sorted(out, key=Polynomial.lead_monomial)
 
 
 def contains_one(basis):

@@ -126,8 +126,9 @@ def iso_system(a, b):
 
 def _linear_variable(p):
     """Least i such that the only term of p involving x_i is c·x_i, or None."""
-    linear = {m.index(1) for m in p.terms if sum(m) == 1}
-    for m in p.terms:
+    monos = list(map(p.ring.unpack, p.terms))
+    linear = {m.index(1) for m in monos if sum(m) == 1}
+    for m in monos:
         if sum(m) != 1:
             linear.difference_update(i for i, e in enumerate(m) if e)
     return min(linear, default=None)
@@ -149,7 +150,7 @@ def eliminate_linear(polys):
             return current
         p = current.pop(pi)
         fld = p.ring.field
-        mono = tuple(int(i == vi) for i in range(p.ring.nvars))
+        mono = p.ring.pack(int(i == vi) for i in range(p.ring.nvars))
         rest = groebner.Polynomial(p.ring, {m: c for m, c in p.terms.items()
                                             if m != mono})
         replacement = rest.scale(fld.neg(fld.inv(p.terms[mono])))

@@ -1,7 +1,11 @@
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +13,7 @@ from jordannil import cli, homsearch, orbits, tables
 from jordannil.algebra import Algebra
 from jordannil.field import GF, QQ
 from jordannil.files import AlgebraFileError, parse_algebra_file, render_algebra
+from jordannil.groebner import BOUND
 
 
 def test_round_trip_catalog(all_catalog_entries):
@@ -424,7 +429,6 @@ def test_cli_gb(tmp_path, capsys):
     path2 = write(tmp_path, "hard.gb",
                   "field Q\nvars x y z\nx^2+y^2+z^2-1\nx*y+y*z+x*z\n"
                   "x^2*y-z^3+x\n")
-    import os
     os.environ["JORDAN_LIMITS"] = "pairs=2"
     try:
         code = cli.main(["gb", path2])
@@ -445,6 +449,25 @@ def test_cli_gb_rejects_bad_vars_and_exponents(tmp_path, capsys, text):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("gens, code, message", [
+    # x^(B+1) does not fit its field: an input error
+    (f"x^{BOUND + 1} - y", 2,
+     f"error: bad polynomial: degree {BOUND + 1} exceeds the bound {BOUND}"),
+    # both fit, but the lcm x^B·y^B of the S-pair has degree 2B
+    (f"x^{BOUND}\ny^{BOUND}", 3,
+     f"resource limit: a monomial's exponent or degree exceeds {BOUND}"),
+], ids=["parse", "lcm"])
+def test_cli_gb_exponent_bound(tmp_path, gens, code, message):
+    # a whole process, so that a traceback would show on stderr
+    path = write(tmp_path, "big.gb", f"field Q\nvars x y\n{gens}\n")
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-m", "jordannil.cli", "gb", path],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, "",
+                                                          message + "\n")
 
 
 def test_cli_catalog(capsys):

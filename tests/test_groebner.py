@@ -6,10 +6,10 @@ import pytest
 
 from jordannil import cli
 from jordannil.field import GF, QQ
-from jordannil.groebner import (PolyRing, buchberger, contains_one,
-                                mono_div, mono_divides, mono_lcm, mono_mul,
+from jordannil.groebner import (BOUND, PolyRing, buchberger, contains_one,
                                 reduce_poly, s_polynomial)
 from jordannil.limits import Limits, ResourceLimitError
+from theory import ORDER_KEYS, mono_div, mono_divides, mono_lcm, mono_mul
 
 
 def ring_xy(fld=QQ, order="lex"):
@@ -63,8 +63,9 @@ def test_division_reexpansion():
                 for m in rem.terms:
                     for g in basis:
                         if g:
-                            assert not all(a <= b for a, b in
-                                           zip(g.lead_monomial(), m))
+                            assert not all(a <= b for a, b in zip(
+                                ring.unpack(g.lead_monomial()),
+                                ring.unpack(m)))
 
 
 def test_s_polynomial_examples():
@@ -177,19 +178,32 @@ def test_resource_limits(monkeypatch):
     assert basis and not contains_one(basis)
 
 
-# -- reference: the linear scans that the pair and term heaps replaced -----
+# -- reference: the linear scans that the pair and term heaps replaced, on
+# exponent tuples ordered by the order's key --------------------------------
+
+def tuple_terms(p):
+    return {p.ring.unpack(m): c for m, c in p.terms.items()}
+
+
+def tuple_lead(p):
+    return max(tuple_terms(p), key=ORDER_KEYS[p.ring.order])
+
 
 def scan_reduce_poly(f, basis):
     """reduce_poly with each lead term found by a max scan over the terms
     left to reduce."""
     ring = f.ring
     fld = ring.field
-    data = [(g.lead_monomial(), g.lead_coeff(), g.terms)
-            for g in basis if g.terms]
-    work = dict(f.terms)
+    data = []
+    for g in basis:
+        if g.terms:
+            terms = tuple_terms(g)
+            lm = tuple_lead(g)
+            data.append((lm, terms[lm], terms))
+    work = tuple_terms(f)
     rem = {}
     while work:
-        m = max(work, key=ring.key)
+        m = max(work, key=ORDER_KEYS[ring.order])
         c = work.pop(m)
         for lm, lc, terms in data:
             if mono_divides(lm, m):
@@ -235,18 +249,18 @@ def scan_buchberger(gens):
     basis = scan_interreduce(gens)
     if not basis:
         return [], 0, 0
-    key = basis[0].ring.key
-    pairs = {(i, j): mono_lcm(basis[i].lead_monomial(), basis[j].lead_monomial())
+    key = ORDER_KEYS[basis[0].ring.order]
+    pairs = {(i, j): mono_lcm(tuple_lead(basis[i]), tuple_lead(basis[j]))
              for i in range(len(basis)) for j in range(i + 1, len(basis))}
     processed = most_terms = 0
     while pairs:
         i, j = min(pairs, key=lambda ij: (key(pairs[ij]), ij))
         lij = pairs.pop((i, j))
         processed += 1
-        if lij == mono_mul(basis[i].lead_monomial(), basis[j].lead_monomial()):
+        if lij == mono_mul(tuple_lead(basis[i]), tuple_lead(basis[j])):
             continue
         if any(k not in (i, j)
-               and mono_divides(basis[k].lead_monomial(), lij)
+               and mono_divides(tuple_lead(basis[k]), lij)
                and (min(i, k), max(i, k)) not in pairs
                and (min(j, k), max(j, k)) not in pairs
                for k in range(len(basis))):
@@ -257,18 +271,18 @@ def scan_buchberger(gens):
             r = r.monic()
             t = len(basis)
             basis.append(r)
-            pairs.update(((u, t), mono_lcm(basis[u].lead_monomial(),
-                                           r.lead_monomial()))
+            pairs.update(((u, t), mono_lcm(tuple_lead(basis[u]),
+                                           tuple_lead(r)))
                          for u in range(t))
     minimal = []
-    for g in sorted(basis, key=lambda g: key(g.lead_monomial())):
-        if not any(mono_divides(h.lead_monomial(), g.lead_monomial())
+    for g in sorted(basis, key=lambda g: key(tuple_lead(g))):
+        if not any(mono_divides(tuple_lead(h), tuple_lead(g))
                    for h in minimal):
             minimal.append(g)
     out = [scan_reduce_poly(g, minimal[:i] + minimal[i + 1:]).monic()
            for i, g in enumerate(minimal)]
     return sorted((g for g in out if g.terms),
-                  key=lambda g: key(g.lead_monomial())), processed, most_terms
+                  key=lambda g: key(tuple_lead(g))), processed, most_terms
 
 
 def test_heaps_keep_the_scan_selection(monkeypatch):
@@ -344,14 +358,82 @@ def test_parse_render_round_trip():
                 assert ring.parse(p.render()) == p
 
 
+def test_packed_monomials_match_exponent_tuples():
+    """Packing is a bijection onto ints ordered by the term order, under
+    which +, -, the guard-bit divisibility test and lcm are the tuple
+    operations: on small exponents, where ties and divisibility are
+    frequent, and on exponents whose products reach half the bound."""
+    rnd = random.Random(13)
+    for order in ORDER_NAMES:
+        key = ORDER_KEYS[order]
+        divides = set()
+        for nvars in (1, 2, 3, 5):
+            ring = PolyRing(QQ, ["x", "y", "z", "u", "v"][:nvars], order)
+            for trial in range(300):
+                top = 3 if trial % 3 else BOUND // (2 * nvars)
+                a, b = (tuple(rnd.randint(0, top) for _ in range(nvars))
+                        for _ in range(2))
+                pa, pb = ring.pack(a), ring.pack(b)
+                assert (ring.unpack(pa), ring.unpack(pb)) == (a, b)
+                assert (pa < pb) == (key(a) < key(b))
+                assert (pa == pb) == (a == b)
+                assert pa + pb == ring.pack(mono_mul(a, b))
+                assert ring.lcm(pa, pb) == ring.pack(mono_lcm(a, b))
+                assert (not (pb - pa) & ring.guard) == mono_divides(a, b)
+                if mono_divides(a, b):
+                    assert pb - pa == ring.pack(mono_div(b, a))
+                divides.add(mono_divides(a, b))
+        assert divides == {False, True}
+
+
+def test_exponent_bound():
+    """A field past BOUND is a ValueError when packed and a
+    ResourceLimitError when a product or lcm reaches it; in degrevlex the
+    degree is a field, in lex only the exponents are."""
+    for order in ORDER_NAMES:
+        ring = PolyRing(QQ, ["x", "y"], order)
+        x, y = ring.var("x"), ring.var("y")
+        top = ring.parse(f"x^{BOUND}")
+        assert ring.unpack(top.lead_monomial()) == (BOUND, 0)
+        for bad in ((BOUND + 1, 0), (0, -1), (1,)):
+            with pytest.raises(ValueError):
+                ring.pack(bad)
+        with pytest.raises(ValueError, match=str(BOUND)):
+            ring.parse(f"x^{BOUND + 1} - 1")
+        with pytest.raises(ValueError, match=str(BOUND)):
+            ring.parse(f"x^{BOUND}*x")
+        for product in (lambda: top * x,
+                        lambda: top.mul_term(1, ring.pack((1, 0)))):
+            with pytest.raises(ResourceLimitError, match=str(BOUND)):
+                product()
+        corner = [top, ring.parse(f"y^{BOUND}")]
+        if order == "degrevlex":
+            with pytest.raises(ValueError, match="degree"):
+                ring.pack((BOUND, 1))
+            # the lcm x^B·y^B has degree 2B
+            with pytest.raises(ResourceLimitError, match=str(BOUND)):
+                buchberger(corner)
+        else:
+            assert buchberger(corner) == corner[::-1]
+            # x·y reduces by x - y^B to y^(B+1); from x^2 - y^(B-1) and
+            # x·y - 1 Buchberger adds x - y^B, whose S-polynomial with
+            # x·y - 1 holds y^(B+1)
+            big = ring.parse(f"x - y^{BOUND}")
+            with pytest.raises(ResourceLimitError, match=str(BOUND)):
+                reduce_poly(x * y, [big])
+            with pytest.raises(ResourceLimitError, match=str(BOUND)):
+                buchberger([ring.parse(f"x^2 - y^{BOUND - 1}"),
+                            ring.parse("x*y - 1")])
+
+
 def test_orders_differ():
     rl = PolyRing(QQ, ["x", "y"], "lex")
     rd = PolyRing(QQ, ["x", "y"], "degrevlex")
     # x > y^3 in lex but not in degrevlex
     f_lex = rl.parse("x + y^3")
     f_deg = rd.parse("x + y^3")
-    assert f_lex.lead_monomial() == (1, 0)
-    assert f_deg.lead_monomial() == (0, 3)
+    assert rl.unpack(f_lex.lead_monomial()) == (1, 0)
+    assert rd.unpack(f_deg.lead_monomial()) == (0, 3)
 
 
 def test_substitute():

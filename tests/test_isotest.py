@@ -91,7 +91,8 @@ def test_eliminate_linear_random_systems():
             # no variable is left whose only term in a polynomial is c·x
             for p in reduced:
                 for v, unit in enumerate(units):
-                    assert [m for m in p.terms if m[v]] != [unit]
+                    assert [m for m in map(ring.unpack, p.terms)
+                            if m[v]] != [unit]
     assert outcomes == {False, True} and eliminated
 
 

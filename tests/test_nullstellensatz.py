@@ -71,7 +71,7 @@ def has_common_zero(polys, ext):
             acc = ext.zero()
             for mono, coeff in poly.terms.items():
                 term = ext.embed(int(coeff))
-                for vi, e in enumerate(mono):
+                for vi, e in enumerate(poly.ring.unpack(mono)):
                     if e:
                         term = ext.mul(term, ext.pow(point[vi], e))
                 acc = ext.add(acc, term)

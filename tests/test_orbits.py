@@ -403,3 +403,31 @@ def test_point_forms_lift():
         assert len(forms) == 2
         for form in forms:
             assert h2.z2.contains(form)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_aut_order_of_extension_from_parent_orbit(p):
+    """|Aut(J_θ)| = |Aut(A)| / |orbit of W| · p^(r·(dim A − dim A²)) for
+    every class J_θ without a central component, n ≤ 4: the kernel of
+    Aut(J_θ) → Stab_Aut(A)(W) is Hom(A/A², V).  Both sides come from
+    independent stabiliser chains, so this checks every chain and every
+    orbit length of the walk."""
+    f = GF(p)
+    memo = {}
+    checked = 0
+    for n in range(2, 5):
+        result = classify_dim(n, f, memo)
+        for j, prov in zip(result.representatives, result.provenance):
+            if prov.kind != "extension":
+                continue
+            a = memo[prov.parent_dim].representatives[prov.parent_index]
+            aut_a = automorphism_group(a)
+            h2 = coh.h2_space(a)
+            mats = [h2_action_matrix(h2, g) for g in aut_a.generators]
+            orbit = orbit_of_point(f, mats, prov.rep_coords)
+            assert len(aut_a) % len(orbit) == 0
+            kernel = p ** (prov.r * (a.dim - a.fingerprint().dim_square))
+            assert len(automorphism_group(j)) == \
+                len(aut_a) // len(orbit) * kernel
+            checked += 1
+    assert checked == {2: 21, 3: 15}[p]

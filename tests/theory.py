@@ -197,3 +197,33 @@ def cohomologous_extensions_isomorphic(a, forms, f_rows):
     for t in range(r):
         sigma.append(linalg.unit(field, n + r, n + t))
     return is_isomorphism(ext1, ext2, tuple(sigma))
+
+
+# -- exponent tuples: the reference for groebner's packed monomials --------
+
+def mono_mul(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def mono_div(a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def mono_lcm(a, b):
+    return tuple(max(x, y) for x, y in zip(a, b))
+
+
+def mono_divides(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+def lex_key(m):
+    return m
+
+
+def degrevlex_key(m):
+    return (sum(m), tuple(-e for e in reversed(m)))
+
+
+# order name -> ascending sort key of exponent tuples
+ORDER_KEYS = {"lex": lex_key, "degrevlex": degrevlex_key}
