@@ -275,6 +275,11 @@ def cmd_classify(args):
     fld = _parse_field(args.field)
     if not fld.is_prime_field:
         raise InputError("classify needs a prime field (use F:<p>)")
+    bound = Limits.from_env().max_classify_dim
+    if args.dim > bound:
+        raise ResourceLimitError(
+            f"classify --dim {args.dim} is above the bound {bound} "
+            "(JORDAN_LIMITS classify_dim=N overrides it)")
     result = classify_mod.classify_dim(args.dim, fld)
     _emit_classification(result, "classification", args.json)
     return 0

@@ -6,18 +6,21 @@ the high fields hold (deg, e_1+...+e_{n-1}, ..., e_1) and the low ones
 e_1 ... e_n; in lex the fields are e_1 ... e_n, e_1 most significant.  So
 the int order is the term order, a product is a sum, a divides b iff b - a
 sets no guard bit, and a, b are coprime iff their lcm is a + b.  PolyRing
-packs and unpacks at the edges (`poly`, `var`, `parse`, `render`), where a
-field past BOUND is a ValueError; inside a product or lcm it is a
-ResourceLimitError.  `reduce_poly` is the one normal-form routine; it pops
-lead terms from a heap of negated monomials, lazily deleting cancelled ones.
-`buchberger` keeps the open S-pairs in a heap of (lcm, (i, j)) and pops the
-least, the normal selection strategy (Cox, Little and O'Shea, ch. 2
-§§9–10).  It returns the reduced Groebner basis (monic, inter-reduced,
-unique for the order) and raises ResourceLimitError instead of running
-away on intractable input; its budgets come from JORDAN_LIMITS.
+packs at the edges; a field past BOUND is a ValueError there and a
+ResourceLimitError inside a product or lcm.
+
+Buchberger runs on int coefficients (Cox, Little and O'Shea, ch. 2
+§§9–10): over Q a basis element is primitive with a positive lead
+coefficient and `_normal_form`, the one normal-form loop, keeps a common
+denominator; over F_p it is monic and a coefficient is reduced mod p when
+its term is popped from the loop's heap.  Fractions appear only in what
+`reduce_poly`, `s_polynomial` and `buchberger` (the reduced basis) return.
 """
 
+import re
+from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 
 from .limits import Limits, ResourceLimitError
 
@@ -81,7 +84,35 @@ class PolyRing:
         return Polynomial(self, {self._units[i]: self.field.one})
 
     def parse(self, text):
-        return parse_polynomial(self, text)
+        """Parse `3*a11^2*b - 1/2*a12` in the ring's variables."""
+        s = text.replace(" ", "")
+        if not s:
+            raise ValueError("empty polynomial text")
+        f = self.field
+        terms = {}
+        # signed chunks: split before each sign that follows no operator
+        for chunk in re.split(r"(?<=[^-+*/^])(?=[-+])", s):
+            coeff = f.neg(f.one) if chunk[0] == "-" else f.one
+            if chunk[0] in "+-":
+                chunk = chunk[1:]
+            if not chunk:
+                raise ValueError(f"dangling sign in {text!r}")
+            mono = [0] * self.nvars
+            for factor in chunk.split("*"):
+                if not factor:
+                    raise ValueError(f"empty factor in {text!r}")
+                name, caret, exp = factor.partition("^")
+                if name in self._index:
+                    if caret and not (exp.isascii() and exp.isdigit()):
+                        raise ValueError(f"bad exponent in {factor!r}")
+                    mono[self._index[name]] += int(exp) if caret else 1
+                else:
+                    if caret:
+                        raise ValueError(f"exponent on a constant in {factor!r}")
+                    coeff = f.mul(coeff, f.parse(factor))
+            key = tuple(mono)
+            terms[key] = f.add(terms.get(key, f.zero), coeff)
+        return self.poly(terms)
 
     def __eq__(self, other):
         return (isinstance(other, PolyRing) and self.field == other.field
@@ -123,12 +154,11 @@ class PolyRing:
 
 
 class Polynomial:
-    __slots__ = ("ring", "terms", "_lead")
+    __slots__ = ("ring", "terms")
 
     def __init__(self, ring, terms):
         self.ring = ring
         self.terms = terms
-        self._lead = None
 
     def is_zero(self):
         return not self.terms
@@ -140,68 +170,34 @@ class Polynomial:
         return set(self.terms) <= {0}
 
     def lead_monomial(self):
-        if self._lead is None and self.terms:
-            self._lead = max(self.terms)
-        return self._lead
-
-    def lead_coeff(self):
-        lm = self.lead_monomial()
-        return self.terms[lm] if lm is not None else self.ring.field.zero
-
-    def monic(self):
-        lc = self.lead_coeff()
-        if not self.terms or lc == self.ring.field.one:
-            return self
-        inv = self.ring.field.inv(lc)
-        f = self.ring.field
-        return Polynomial(self.ring, {m: f.mul(inv, c) for m, c in self.terms.items()})
+        return max(self.terms, default=None)
 
     def __add__(self, other):
         f = self.ring.field
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            nc = f.add(out.get(m, f.zero), c)
-            if nc:
-                out[m] = nc
-            elif m in out:
-                del out[m]
-        return Polynomial(self.ring, out)
+        return Polynomial(self.ring, _add_into(dict(self.terms), f,
+                                               other.terms, f.one, 0))
 
     def __sub__(self, other):
         return self + -other
 
     def __neg__(self):
-        f = self.ring.field
-        return Polynomial(self.ring, {m: f.neg(c) for m, c in self.terms.items()})
+        return self.scale(self.ring.field.neg(self.ring.field.one))
 
     def __mul__(self, other):
-        f = self.ring.field
         out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = m1 + m2
-                nc = f.add(out.get(m, f.zero), f.mul(c1, c2))
-                if nc:
-                    out[m] = nc
-                elif m in out:
-                    del out[m]
+        for m, c in self.terms.items():
+            _add_into(out, self.ring.field, other.terms, c, m)
         return self.ring._checked(out)
 
-    def mul_term(self, coeff, mono):
-        f = self.ring.field
-        if not coeff:
-            return Polynomial(self.ring, {})
-        return self.ring._checked({m + mono: f.mul(c, coeff)
-                                   for m, c in self.terms.items()})
-
     def scale(self, coeff):
-        return self.mul_term(coeff, 0)
+        return Polynomial(self.ring, _add_into({}, self.ring.field,
+                                               self.terms, coeff, 0))
 
     def substitute(self, mapping):
         """Replace variables by polynomials; mapping keys are var indices."""
         ring = self.ring
-        out = ring.zero()
-        kept = {}   # the terms with no variable of mapping
+        f = ring.field
+        out = {}
         pows = {}
         for m, c in self.terms.items():
             factor = None
@@ -215,11 +211,9 @@ class Polynomial:
                             pows[i, e] = pows[i, e] * p
                     factor = (pows[i, e] if factor is None
                               else factor * pows[i, e])
-            if factor is None:
-                kept[m] = c
-            else:
-                out = out + factor.mul_term(c, m)
-        return out + Polynomial(ring, kept)
+            _add_into(out, f, {0: f.one} if factor is None else factor.terms,
+                      c, m)
+        return ring._checked(out)
 
     def __eq__(self, other):
         return (isinstance(other, Polynomial) and self.ring == other.ring
@@ -232,113 +226,108 @@ class Polynomial:
         if not self.terms:
             return "0"
         f = self.ring.field
-        names = self.ring.names
-        parts = []
+        out = ""
         for m in sorted(self.terms, reverse=True):
             c = self.terms[m]
-            factors = []
-            for i, e in enumerate(self.ring.unpack(m)):
-                if e == 1:
-                    factors.append(names[i])
-                elif e > 1:
-                    factors.append(f"{names[i]}^{e}")
-            body = "*".join(factors)
             neg = f.kind == "Q" and c < 0
-            mag = -c if neg else c
-            coeff_txt = f.render(mag)
-            if body and coeff_txt == "1":
-                text = body
-            elif body:
-                text = f"{coeff_txt}*{body}"
-            else:
-                text = coeff_txt
-            if not parts:
-                parts.append(("-" if neg else "") + text)
-            else:
-                parts.append((" - " if neg else " + ") + text)
-        return "".join(parts)
+            text = f.render(-c if neg else c)
+            body = "*".join(n if e == 1 else f"{n}^{e}" for n, e in
+                            zip(self.ring.names, self.ring.unpack(m)) if e)
+            if body:
+                text = body if text == "1" else f"{text}*{body}"
+            sign = (" - " if neg else " + ") if out else ("-" if neg else "")
+            out += sign + text
+        return out
 
     def __repr__(self):
         return f"Poly({self.render()})"
 
 
-def parse_polynomial(ring, text):
-    """Parse `3*a11^2*b - 1/2*a12` in the ring's variables."""
-    s = text.replace(" ", "")
-    if not s:
-        raise ValueError("empty polynomial text")
-    # split into signed chunks at top level (no parentheses in the grammar)
-    chunks = []
-    start = 0
-    for i, ch in enumerate(s):
-        if ch in "+-" and i > start:
-            prev = s[i - 1]
-            if prev in "+-*/^":
-                continue
-            chunks.append(s[start:i])
-            start = i
-    chunks.append(s[start:])
-    poly = ring.zero()
-    f = ring.field
-    for chunk in chunks:
-        sign = f.one
-        if chunk.startswith("+"):
-            chunk = chunk[1:]
-        elif chunk.startswith("-"):
-            sign = f.neg(f.one)
-            chunk = chunk[1:]
-        if not chunk:
-            raise ValueError(f"dangling sign in {text!r}")
-        coeff = sign
-        mono = [0] * ring.nvars
-        for factor in chunk.split("*"):
-            if not factor:
-                raise ValueError(f"empty factor in {text!r}")
-            name, caret, exp = factor.partition("^")
-            if name in ring._index:
-                e = 1
-                if caret:
-                    if not (exp.isascii() and exp.isdigit()):
-                        raise ValueError(f"bad exponent in {factor!r}")
-                    e = int(exp)
-                mono[ring._index[name]] += e
+def _add_into(out, f, terms, coeff, mono):
+    """out += coeff·mono·terms in place, in the arithmetic of the field f; a
+    monomial past BOUND sets a guard bit, which the caller checks."""
+    if not coeff:
+        return out
+    one = coeff == f.one
+    for m, c in terms.items():
+        m += mono
+        c = c if one else f.mul(coeff, c)
+        old = out.get(m)
+        if old is None:
+            out[m] = c
+        else:
+            c = f.add(old, c)
+            if c:
+                out[m] = c
             else:
-                if caret:
-                    raise ValueError(f"exponent on a constant in {factor!r}")
-                coeff = f.mul(coeff, f.parse(factor))
-        poly = poly + ring.poly({tuple(mono): coeff})
-    return poly
+                del out[m]
+    return out
 
 
 # -- normal form and Buchberger -------------------------------------------
 
-def reduce_poly(f, basis):
-    """Full normal form of f modulo basis: no remainder term is divisible
-    by any basis lead monomial, and f - result lies in the basis ideal."""
-    ring = f.ring
-    fld = ring.field
-    guard = ring.guard
-    data = [(g.lead_monomial(), g.lead_coeff(), g.terms)
-            for g in basis if g.terms]
-    work = dict(f.terms)
+def _integral(terms):
+    """(ints, den) with terms = ints / den, den the common denominator of
+    the rational values (an int, and so an F_p element, has denominator 1)."""
+    den = lcm(*(c.denominator for c in terms.values()))
+    return {m: c.numerator * (den // c.denominator)
+            for m, c in terms.items()}, den
+
+
+def _element(p, terms):
+    """(lead, lead coeff, ints) of nonzero rational terms scaled to be
+    primitive with a positive lead coefficient (p = 0) or monic mod p."""
+    lm = max(terms)
+    if p:
+        inv = pow(terms[lm], -1, p)
+        return lm, 1, {m: c * inv % p for m, c in terms.items()}
+    terms = _integral(terms)[0]
+    g = gcd(*terms.values()) if terms[lm] > 0 else -gcd(*terms.values())
+    return lm, terms[lm] // g, {m: c // g for m, c in terms.items()}
+
+
+def _polynomial(ring, terms, den):
+    """The field polynomial of ints / den (den is 1 over F_p)."""
+    p = ring.field.characteristic
+    return Polynomial(ring, {m: c % p for m, c in terms.items() if c % p}
+                      if p else {m: Fraction(c, den) for m, c in terms.items()})
+
+
+def _normal_form(work, basis, ring):
+    """(rem, den): rem / den is the full normal form of the int polynomial
+    work (consumed) modulo basis, a list of _element triples.  The first g
+    with lm(g) | m cancels a lead term c·m: with L = lc(g), d = gcd(c, L),
+    work, rem and den are scaled by L/d and (c/d)·(m/lm(g))·g is subtracted.
+    Over F_p L = 1, and a coefficient is reduced mod p when it is popped."""
+    guard, p = ring.guard, ring.field.characteristic
     # the heap holds -m, so the largest monomial pops first; each monomial is
     # pushed as it enters work, and one cancelled since is skipped when popped
     heap = [-m for m in work]
     heapify(heap)
     rem = {}
+    den = 1
     while heap:
         m = -heappop(heap)
-        c = work.pop(m, None)
-        if c is None:
+        c = work.pop(m, 0)
+        if p:
+            c %= p
+        if not c:
             continue
-        for lm, lc, terms in data:
+        for lm, lc, terms in basis:
             q = m - lm
             if not q & guard:
                 break
         else:
             rem[m] = c
             continue
-        factor = fld.div(c, lc)
+        if lc != 1:
+            d = gcd(c, lc)
+            c //= d
+            if d != lc:
+                s = lc // d
+                den *= s
+                work = {k: v * s for k, v in work.items()}
+                rem = {k: v * s for k, v in rem.items()}
         for tm, tc in terms.items():
             if tm == lm:
                 continue
@@ -347,46 +336,68 @@ def reduce_poly(f, basis):
             if old is None:
                 if mm & guard:
                     raise ResourceLimitError(_OVERFLOW)
-                work[mm] = fld.neg(fld.mul(factor, tc))
+                work[mm] = -c * tc
                 heappush(heap, -mm)
             else:
-                nc = fld.sub(old, fld.mul(factor, tc))
+                nc = old - c * tc
                 if nc:
                     work[mm] = nc
                 else:
                     del work[mm]
-    return Polynomial(ring, rem)
+    return rem, den
+
+
+def _s_terms(a, b, lab, ring):
+    """The int S-polynomial (L_b/d)·(lab/lm a)·a - (L_a/d)·(lab/lm b)·b of two
+    _element triples, d = gcd(L_a, L_b), with lab the lcm of their leads."""
+    (la, ca, ta), (lb, cb, tb) = a, b
+    d = gcd(ca, cb)
+    sa, sb, ua, ub = cb // d, ca // d, lab - la, lab - lb
+    out = {m + ua: c * sa for m, c in ta.items()}
+    for m, c in tb.items():   # the two lead terms cancel
+        m += ub
+        nc = out.get(m, 0) - c * sb
+        if nc:
+            out[m] = nc
+        else:
+            del out[m]
+    return ring._checked(out).terms
+
+
+def reduce_poly(f, basis):
+    """Full normal form of f modulo basis: no remainder term is divisible
+    by any basis lead monomial, and f - result lies in the basis ideal."""
+    p = f.ring.field.characteristic
+    work, den = _integral(f.terms)
+    rem, s = _normal_form(work, [_element(p, g.terms) for g in basis
+                                 if g.terms], f.ring)
+    return _polynomial(f.ring, rem, den * s)
 
 
 def s_polynomial(f, g):
     """S(f, g) = (lcm/lt(f))·f - (lcm/lt(g))·g."""
     if not f.terms or not g.terms:
         raise ValueError("S-polynomial of zero polynomial")
-    fld = f.ring.field
-    lmf, lmg = f.lead_monomial(), g.lead_monomial()
-    lcm = f.ring.lcm(lmf, lmg)
-    part1 = f.mul_term(fld.inv(f.lead_coeff()), lcm - lmf)
-    part2 = g.mul_term(fld.inv(g.lead_coeff()), lcm - lmg)
-    return part1 - part2
+    ring = f.ring
+    a, b = (_element(ring.field.characteristic, h.terms) for h in (f, g))
+    terms = _s_terms(a, b, ring.lcm(a[0], b[0]), ring)
+    return _polynomial(ring, terms, lcm(a[1], b[1]))
 
 
-def _interreduce(polys):
-    """Reduce each generator by the others until stable (same ideal)."""
-    current = [p.monic() for p in polys if p.terms]
+def _interreduce(basis, ring):
+    """Reduce each element by the others until stable (same ideal)."""
     i = 0
-    while i < len(current):
-        p = current[i]
-        others = current[:i] + current[i + 1:]
-        r = reduce_poly(p, others)
-        if not r.terms:
-            current.pop(i)
+    while i < len(basis):
+        r = _normal_form(dict(basis[i][2]), basis[:i] + basis[i + 1:], ring)[0]
+        if not r:
+            basis.pop(i)
             i = 0
-        elif r.terms != p.terms:
-            current[i] = r.monic()
+        elif r != basis[i][2]:
+            basis[i] = _element(ring.field.characteristic, r)
             i = 0
         else:
             i += 1
-    return current
+    return basis
 
 
 def buchberger(gens):
@@ -396,14 +407,12 @@ def buchberger(gens):
     if not gens:
         return []
     ring = gens[0].ring
+    guard, lcm_of, p = ring.guard, ring.lcm, ring.field.characteristic
     limits = Limits.from_env()
-    basis = _interreduce(gens)
-    if not basis:
-        return []
-    guard, lcm = ring.guard, ring.lcm
-    leads = [g.lead_monomial() for g in basis]
+    basis = _interreduce([_element(p, g.terms) for g in gens], ring)
+    leads = [e[0] for e in basis]
     # the open S-pairs (i, j), i < j, each with the lcm of its lead monomials
-    pairs = {(i, j): lcm(leads[i], leads[j])
+    pairs = {(i, j): lcm_of(leads[i], leads[j])
              for i in range(len(basis)) for j in range(i + 1, len(basis))}
     # the same pairs, each pushed once, popped least (lcm, (i, j)) first
     queue = [(lij, ij) for ij, lij in pairs.items()]
@@ -423,38 +432,29 @@ def buchberger(gens):
                and (min(j, k), max(j, k)) not in pairs
                for k, lk in enumerate(leads)):
             continue
-        r = reduce_poly(s_polynomial(basis[i], basis[j]), basis)
-        if r.terms:
-            if len(r.terms) > limits.max_terms:
+        r = _normal_form(_s_terms(basis[i], basis[j], lij, ring), basis,
+                         ring)[0]
+        if r:
+            if len(r) > limits.max_terms:
                 raise ResourceLimitError(
                     f"term budget exceeded ({limits.max_terms})")
-            r = r.monic()
             t = len(basis)
             if t + 1 > limits.max_basis:
                 raise ResourceLimitError(
                     f"basis-size budget exceeded ({limits.max_basis})")
-            basis.append(r)
-            leads.append(r.lead_monomial())
+            basis.append(_element(p, r))
+            leads.append(basis[t][0])
             for u in range(t):
-                pairs[u, t] = lcm(leads[u], leads[t])
+                pairs[u, t] = lcm_of(leads[u], leads[t])
                 heappush(queue, (pairs[u, t], (u, t)))
-    return _reduced_basis(basis)
-
-
-def _reduced_basis(basis):
-    guard = basis[0].ring.guard
+    # the minimal elements (distinct leads), each reduced by the others
     minimal = []
-    for g in sorted(basis, key=Polynomial.lead_monomial):
-        lg = g.lead_monomial()
-        if all((lg - h.lead_monomial()) & guard for h in minimal):
-            minimal.append(g)
-    out = []
-    for i, g in enumerate(minimal):
-        others = minimal[:i] + minimal[i + 1:]
-        r = reduce_poly(g, others)
-        if r.terms:
-            out.append(r.monic())
-    return sorted(out, key=Polynomial.lead_monomial)
+    for e in sorted(basis):
+        if all((e[0] - h[0]) & guard for h in minimal):
+            minimal.append(e)
+    return [_polynomial(ring, terms, lc) for _, lc, terms in sorted(
+        _element(p, _normal_form(dict(e[2]), minimal[:i] + minimal[i + 1:],
+                                 ring)[0]) for i, e in enumerate(minimal))]
 
 
 def contains_one(basis):

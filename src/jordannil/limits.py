@@ -19,6 +19,7 @@ class Limits:
     max_basis: int = 2_000
     max_points: int = 1_000_000
     max_dim: int = 24
+    max_classify_dim: int = 5
 
     @classmethod
     def from_env(cls, env=None):

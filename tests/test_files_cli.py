@@ -351,6 +351,30 @@ def test_cli_extend_dim_bound_exits_3(tmp_path, capsys, monkeypatch):
         GF(3), 31, {(1, 1, k): 1 for k in range(2, 32)})
 
 
+def test_cli_classify_dim_bound_exits_3(capsys, monkeypatch):
+    # dim 6 over F_2 takes about a minute and dim 7 does not finish
+    monkeypatch.delenv("JORDAN_LIMITS", raising=False)
+    t0 = time.perf_counter()
+    assert cli.main(["classify", "--dim", "6", "--field", "F:2"]) == 3
+    assert time.perf_counter() - t0 < 10
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("resource limit: classify --dim 6 is above the "
+                            "bound 5 (JORDAN_LIMITS classify_dim=N overrides "
+                            "it)\n")
+    # input errors still exit 2 first
+    assert cli.main(["classify", "--dim", "6", "--field", "Q"]) == 2
+    capsys.readouterr()
+    # and JORDAN_LIMITS moves the bound both ways
+    monkeypatch.setenv("JORDAN_LIMITS", "classify_dim=2")
+    assert cli.main(["classify", "--dim", "3", "--field", "F:2"]) == 3
+    assert capsys.readouterr().err.startswith(
+        "resource limit: classify --dim 3 is above the bound 2 ")
+    monkeypatch.setenv("JORDAN_LIMITS", "classify_dim=3")
+    code, out = run_cli(capsys, "classify", "--dim", "3", "--field", "F:2")
+    assert code == 0 and out.startswith("classification dim 3 over F_2: ")
+
+
 def test_cli_large_prime_field(tmp_path, capsys):
     # trial division to √p kept both calls running past 20 s
     p = 10 ** 18 + 3

@@ -6,8 +6,8 @@ import pytest
 
 from jordannil import cli
 from jordannil.field import GF, QQ
-from jordannil.groebner import (BOUND, PolyRing, buchberger, contains_one,
-                                reduce_poly, s_polynomial)
+from jordannil.groebner import (BOUND, PolyRing, _element, buchberger,
+                                contains_one, reduce_poly, s_polynomial)
 from jordannil.limits import Limits, ResourceLimitError
 from theory import ORDER_KEYS, mono_div, mono_divides, mono_lcm, mono_mul
 
@@ -19,7 +19,10 @@ def ring_xy(fld=QQ, order="lex"):
 ORDER_NAMES = ("degrevlex", "lex")
 
 
-def random_system(rnd, fld, nvars=3, npolys=3, maxdeg=2, order="degrevlex"):
+def random_system(rnd, fld, nvars=3, npolys=3, maxdeg=2, order="degrevlex",
+                  top=None):
+    """Random generators; over Q with top set, coefficients are fractions
+    with numerator and denominator up to top in size."""
     names = ["x", "y", "z", "w"][:nvars]
     ring = PolyRing(fld, names, order)
     polys = []
@@ -31,6 +34,8 @@ def random_system(rnd, fld, nvars=3, npolys=3, maxdeg=2, order="degrevlex"):
                 mono[rnd.randrange(nvars)] += 1
             if fld.is_prime_field:
                 c = rnd.randrange(1, fld.p)
+            elif top:
+                c = Fraction(rnd.randint(-top, top) or 1, rnd.randint(1, top))
             else:
                 c = rnd.randint(-3, 3) or 1
             terms[tuple(mono)] = c
@@ -189,6 +194,13 @@ def tuple_lead(p):
     return max(tuple_terms(p), key=ORDER_KEYS[p.ring.order])
 
 
+def monic(p):
+    """p over its lead coefficient, in field arithmetic; 0 stays 0."""
+    if not p.terms:
+        return p
+    return p.scale(p.ring.field.inv(p.terms[p.lead_monomial()]))
+
+
 def scan_reduce_poly(f, basis):
     """reduce_poly with each lead term found by a max scan over the terms
     left to reduce."""
@@ -226,7 +238,7 @@ def scan_reduce_poly(f, basis):
 
 
 def scan_interreduce(polys):
-    current = [p.monic() for p in polys if p.terms]
+    current = [monic(p) for p in polys if p.terms]
     i = 0
     while i < len(current):
         p = current[i]
@@ -235,7 +247,7 @@ def scan_interreduce(polys):
             current.pop(i)
             i = 0
         elif r.terms != p.terms:
-            current[i] = r.monic()
+            current[i] = monic(r)
             i = 0
         else:
             i += 1
@@ -268,7 +280,7 @@ def scan_buchberger(gens):
         r = scan_reduce_poly(s_polynomial(basis[i], basis[j]), basis)
         if r.terms:
             most_terms = max(most_terms, len(r.terms))
-            r = r.monic()
+            r = monic(r)
             t = len(basis)
             basis.append(r)
             pairs.update(((u, t), mono_lcm(tuple_lead(basis[u]),
@@ -279,7 +291,7 @@ def scan_buchberger(gens):
         if not any(mono_divides(tuple_lead(h), tuple_lead(g))
                    for h in minimal):
             minimal.append(g)
-    out = [scan_reduce_poly(g, minimal[:i] + minimal[i + 1:]).monic()
+    out = [monic(scan_reduce_poly(g, minimal[:i] + minimal[i + 1:]))
            for i, g in enumerate(minimal)]
     return sorted((g for g in out if g.terms),
                   key=lambda g: key(tuple_lead(g))), processed, most_terms
@@ -316,6 +328,53 @@ def test_heaps_keep_the_scan_selection(monkeypatch):
                 for basis in (polys[1:], want):
                     assert reduce_poly(f, basis) == scan_reduce_poly(f, basis)
     assert len(counts) > 80 and max(counts) > 100
+
+
+def test_fractional_coefficients_match_the_fraction_reference():
+    """Over Q with fractional coefficients and leads other than ±1, where
+    the integer normal form rescales, the normal forms and reduced bases
+    are the Fraction reference scans', in both orders."""
+    rnd = random.Random(29)
+    leads = []
+    for order in ORDER_NAMES:
+        for _ in range(24):
+            ring, polys = random_system(rnd, QQ, nvars=rnd.randint(2, 3),
+                                        npolys=rnd.randint(2, 4), maxdeg=3,
+                                        order=order, top=9)
+            if not polys:
+                continue
+            leads += [abs(p.terms[p.lead_monomial()]) for p in polys]
+            want = scan_buchberger(polys)[0]
+            assert buchberger(polys) == want
+            f = polys[0] * polys[-1] + polys[len(polys) // 2]
+            for basis in (polys[1:], want):
+                assert reduce_poly(f, basis) == scan_reduce_poly(f, basis)
+    assert sum(c != 1 for c in leads) > len(leads) // 2
+
+
+def test_rescaling_chain():
+    """Leads 2x, 3y, 5z, 7w: every step reducing x^k rescales, and the
+    normal form is the constant 210^-k."""
+    for order in ORDER_NAMES:
+        ring = PolyRing(QQ, ["x", "y", "z", "w"], order)
+        basis = [ring.parse(t) for t in ("2*x - y", "3*y - z", "5*z - w",
+                                         "7*w - 1")]
+        k = 40
+        f = ring.parse(f"x^{k} + 1/3*x^{k - 1}*z")
+        # x = 1/210 and z = 1/35 on the variety
+        want = ring.const(Fraction(1, 210 ** k)
+                          + Fraction(1, 3 * 35 * 210 ** (k - 1)))
+        assert reduce_poly(f, basis) == scan_reduce_poly(f, basis) == want
+        assert reduce_poly(f, basis[::-1]) == want
+        reduced = buchberger(basis)
+        assert reduced == scan_buchberger(basis)[0]
+        assert sorted(g.render() for g in reduced) == [
+            "w - 1/7", "x - 1/210", "y - 1/105", "z - 1/35"]
+        # a basis element is primitive with a positive lead coefficient
+        for text, lead, coeffs in (("-6*x + 4*y - 10", 3, [-2, 3, 5]),
+                                   ("-3/2*x + 1/3*y", 9, [-2, 9])):
+            _, lc, terms = _element(0, ring.parse(text).terms)
+            assert (lc, sorted(terms.values())) == (lead, coeffs)
 
 
 def test_limits_from_env():
@@ -403,7 +462,8 @@ def test_exponent_bound():
         with pytest.raises(ValueError, match=str(BOUND)):
             ring.parse(f"x^{BOUND}*x")
         for product in (lambda: top * x,
-                        lambda: top.mul_term(1, ring.pack((1, 0)))):
+                        lambda: ring.parse(f"x^{BOUND - 1}*y").substitute(
+                            {1: x * x})):
             with pytest.raises(ResourceLimitError, match=str(BOUND)):
                 product()
         corner = [top, ring.parse(f"y^{BOUND}")]
@@ -442,3 +502,4 @@ def test_substitute():
     p = x * x + y
     assert p.substitute({0: y + ring.const(1)}) == \
         ring.parse("y^2 + 3*y + 1")  # (y+1)^2 + y
+    assert p.substitute({0: ring.zero()}) == y
