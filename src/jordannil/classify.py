@@ -25,7 +25,7 @@ from .limits import ResourceLimitError
 
 @dataclass(frozen=True)
 class Provenance:
-    kind: str                 # "base", "direct_sum" or "extension"
+    kind: str                 # "base", "direct_sum", "extension" or "oracle"
     parent_dim: int = None
     parent_index: int = None  # index into classify_dim(parent_dim) output
     r: int = None

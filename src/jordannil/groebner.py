@@ -13,8 +13,12 @@ Buchberger runs on int coefficients (Cox, Little and O'Shea, ch. 2
 §§9–10): over Q a basis element is primitive with a positive lead
 coefficient and `_normal_form`, the one normal-form loop, keeps a common
 denominator; over F_p it is monic and a coefficient is reduced mod p when
-its term is popped from the loop's heap.  Fractions appear only in what
-`reduce_poly`, `s_polynomial` and `buchberger` (the reduced basis) return.
+its term is popped from the loop's heap.  `eliminate_linear`, which
+substitutes away the linear variables of an isomorphism system before
+Buchberger runs, is the same loop on the same ints.  A Polynomial is a
+value to parse, render and compare, with no arithmetic of its own;
+Fractions appear only in what `reduce_poly`, `s_polynomial`, `buchberger`
+and `eliminate_linear` return.
 """
 
 import re
@@ -70,18 +74,6 @@ class PolyRing:
             if c:
                 clean[self.pack(m)] = c
         return Polynomial(self, clean)
-
-    def zero(self):
-        return Polynomial(self, {})
-
-    def const(self, c):
-        c = self.field.of(c)
-        return Polynomial(self, {0: c} if c else {})
-
-    def var(self, name_or_index):
-        i = (self._index[name_or_index] if isinstance(name_or_index, str)
-             else name_or_index)
-        return Polynomial(self, {self._units[i]: self.field.one})
 
     def parse(self, text):
         """Parse `3*a11^2*b - 1/2*a12` in the ring's variables."""
@@ -146,12 +138,6 @@ class PolyRing:
             raise ResourceLimitError(_OVERFLOW)
         return m
 
-    def _checked(self, terms):
-        # a product of two monomials in range overflows into guard bits only
-        if any(m & self.guard for m in terms):
-            raise ResourceLimitError(_OVERFLOW)
-        return Polynomial(self, terms)
-
 
 class Polynomial:
     __slots__ = ("ring", "terms")
@@ -171,49 +157,6 @@ class Polynomial:
 
     def lead_monomial(self):
         return max(self.terms, default=None)
-
-    def __add__(self, other):
-        f = self.ring.field
-        return Polynomial(self.ring, _add_into(dict(self.terms), f,
-                                               other.terms, f.one, 0))
-
-    def __sub__(self, other):
-        return self + -other
-
-    def __neg__(self):
-        return self.scale(self.ring.field.neg(self.ring.field.one))
-
-    def __mul__(self, other):
-        out = {}
-        for m, c in self.terms.items():
-            _add_into(out, self.ring.field, other.terms, c, m)
-        return self.ring._checked(out)
-
-    def scale(self, coeff):
-        return Polynomial(self.ring, _add_into({}, self.ring.field,
-                                               self.terms, coeff, 0))
-
-    def substitute(self, mapping):
-        """Replace variables by polynomials; mapping keys are var indices."""
-        ring = self.ring
-        f = ring.field
-        out = {}
-        pows = {}
-        for m, c in self.terms.items():
-            factor = None
-            for i, p in mapping.items():
-                e = m >> ring._shifts[i] & BOUND
-                if e:
-                    m -= e * ring._units[i]
-                    if (i, e) not in pows:
-                        pows[i, e] = p
-                        for _ in range(e - 1):
-                            pows[i, e] = pows[i, e] * p
-                    factor = (pows[i, e] if factor is None
-                              else factor * pows[i, e])
-            _add_into(out, f, {0: f.one} if factor is None else factor.terms,
-                      c, m)
-        return ring._checked(out)
 
     def __eq__(self, other):
         return (isinstance(other, Polynomial) and self.ring == other.ring
@@ -243,27 +186,6 @@ class Polynomial:
         return f"Poly({self.render()})"
 
 
-def _add_into(out, f, terms, coeff, mono):
-    """out += coeff·mono·terms in place, in the arithmetic of the field f; a
-    monomial past BOUND sets a guard bit, which the caller checks."""
-    if not coeff:
-        return out
-    one = coeff == f.one
-    for m, c in terms.items():
-        m += mono
-        c = c if one else f.mul(coeff, c)
-        old = out.get(m)
-        if old is None:
-            out[m] = c
-        else:
-            c = f.add(old, c)
-            if c:
-                out[m] = c
-            else:
-                del out[m]
-    return out
-
-
 # -- normal form and Buchberger -------------------------------------------
 
 def _integral(terms):
@@ -274,10 +196,12 @@ def _integral(terms):
             for m, c in terms.items()}, den
 
 
-def _element(p, terms):
+def _element(p, terms, lm=None):
     """(lead, lead coeff, ints) of nonzero rational terms scaled to be
-    primitive with a positive lead coefficient (p = 0) or monic mod p."""
-    lm = max(terms)
+    primitive with a positive lead coefficient (p = 0) or monic mod p; the
+    lead is lm if given, else the largest monomial."""
+    if lm is None:
+        lm = max(terms)
     if p:
         inv = pow(terms[lm], -1, p)
         return lm, 1, {m: c * inv % p for m, c in terms.items()}
@@ -318,7 +242,13 @@ def _normal_form(work, basis, ring):
             if not q & guard:
                 break
         else:
-            rem[m] = c
+            # a term set aside can come back when lm(g) is not the largest
+            # term of g, as in eliminate_linear
+            c += rem.pop(m, 0)
+            if p:
+                c %= p
+            if c:
+                rem[m] = c
             continue
         if lc != 1:
             d = gcd(c, lc)
@@ -361,7 +291,10 @@ def _s_terms(a, b, lab, ring):
             out[m] = nc
         else:
             del out[m]
-    return ring._checked(out).terms
+    # a product of two monomials in range overflows into guard bits only
+    if any(m & ring.guard for m in out):
+        raise ResourceLimitError(_OVERFLOW)
+    return out
 
 
 def reduce_poly(f, basis):
@@ -455,6 +388,42 @@ def buchberger(gens):
     return [_polynomial(ring, terms, lc) for _, lc, terms in sorted(
         _element(p, _normal_form(dict(e[2]), minimal[:i] + minimal[i + 1:],
                                  ring)[0]) for i, e in enumerate(minimal))]
+
+
+def _linear_variable(terms, ring):
+    """The least x_i, as a monomial, such that the only term of the int
+    polynomial terms that x_i divides is c·x_i; or None."""
+    guard = ring.guard
+    for u in ring._units:
+        if u in terms and all((m - u) & guard for m in terms if m != u):
+            return u
+    return None
+
+
+def eliminate_linear(polys):
+    """Substitute away variables x occurring as c·x + (terms without x).
+
+    This is an exact change of presentation: 1 is in the original ideal iff
+    it is in the reduced one, and the Groebner run gets far fewer variables.
+    Substituting x is the normal form modulo c·x + rest with lead x; each
+    polynomial is kept as ints, up to a nonzero scalar.
+    """
+    polys = [g for g in polys if g.terms]
+    if not polys:
+        return []
+    ring = polys[0].ring
+    p = ring.field.characteristic
+    current = [_element(p, g.terms)[2] for g in polys]
+    while True:
+        for k, terms in enumerate(current):
+            u = _linear_variable(terms, ring)
+            if u is not None:
+                break
+        else:
+            return [_polynomial(ring, terms, 1) for terms in current]
+        g = [_element(p, current.pop(k), u)]
+        current = [_element(p, r)[2] for r in
+                   (_normal_form(t, g, ring)[0] for t in current) if r]
 
 
 def contains_one(basis):

@@ -11,7 +11,9 @@ subspaces and the sizes of the square-zero cones, and a pair that differs
 there has no witness without any search; the Groebner route still gives its
 {1} certificate.  Base mode runs the witness step before the Groebner route;
 closure mode over Q runs it after, before conceding "isomorphic over the
-closure only".  The Groebner budgets come only from JORDAN_LIMITS.
+closure only".  The system is built as term dicts; groebner.eliminate_linear
+substitutes its linear variables away on the integer form that Buchberger
+then starts from.  The Groebner budgets come only from JORDAN_LIMITS.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -64,21 +66,6 @@ def iso_ring(n, fld):
     return PolyRing(fld, names)
 
 
-def _det_polynomial(ring, n):
-    # Leibniz expansion of det(a_ij); n stays at desk scale
-    fld = ring.field
-    out = ring.zero()
-    for perm in permutations(range(n)):
-        inv = sum(1 for x in range(n) for y in range(x + 1, n)
-                  if perm[x] > perm[y])
-        sign = fld.one if inv % 2 == 0 else fld.neg(fld.one)
-        mono = [0] * ring.nvars
-        for i in range(n):
-            mono[i * n + perm[i]] += 1
-        out = out + ring.poly({tuple(mono): sign})
-    return out
-
-
 def iso_system(a, b):
     """Structure equations Σ c_{ij}^k a_{km} − Σ γ_{kl}^m a_{ik} a_{jl}
     for i >= j, m = 1..n, plus b·det(a_ij) − 1.  Zero equations are dropped.
@@ -119,43 +106,17 @@ def iso_system(a, b):
                 poly = ring.poly(terms)
                 if poly:
                     polys.append(poly)
-    bvar = ring.var("b")
-    polys.append(bvar * _det_polynomial(ring, n) - ring.const(1))
+    # b·det(a_ij) − 1, det by its Leibniz expansion; n stays at desk scale
+    slack = {(0,) * ring.nvars: -1}
+    for perm in permutations(range(n)):
+        mono = [0] * n * n + [1]
+        for i in range(n):
+            mono[i * n + perm[i]] = 1
+        inversions = sum(perm[x] > perm[y]
+                         for x in range(n) for y in range(x + 1, n))
+        slack[tuple(mono)] = -1 if inversions % 2 else 1
+    polys.append(ring.poly(slack))
     return polys
-
-
-def _linear_variable(p):
-    """Least i such that the only term of p involving x_i is c·x_i, or None."""
-    monos = list(map(p.ring.unpack, p.terms))
-    linear = {m.index(1) for m in monos if sum(m) == 1}
-    for m in monos:
-        if sum(m) != 1:
-            linear.difference_update(i for i, e in enumerate(m) if e)
-    return min(linear, default=None)
-
-
-def eliminate_linear(polys):
-    """Substitute away variables x occurring as c·x + (terms without x).
-
-    This is an exact change of presentation: 1 is in the original ideal iff
-    it is in the reduced one, and the Groebner run gets far fewer variables.
-    """
-    current = [p for p in polys if p]
-    while True:
-        for pi, p in enumerate(current):
-            vi = _linear_variable(p)
-            if vi is not None:
-                break
-        else:
-            return current
-        p = current.pop(pi)
-        fld = p.ring.field
-        mono = p.ring.pack(int(i == vi) for i in range(p.ring.nvars))
-        rest = groebner.Polynomial(p.ring, {m: c for m, c in p.terms.items()
-                                            if m != mono})
-        replacement = rest.scale(fld.neg(fld.inv(p.terms[mono])))
-        current = [q.substitute({vi: replacement}) for q in current]
-        current = [q for q in current if q]
 
 
 class InvalidWitnessError(RuntimeError):
@@ -193,7 +154,8 @@ def decide(a, b, mode=MODE_BASE_FIELD_FIRST):
                           base_field_conclusive=True)
 
     try:
-        basis = groebner.buchberger(eliminate_linear(iso_system(a, b)))
+        basis = groebner.buchberger(
+            groebner.eliminate_linear(iso_system(a, b)))
     except ResourceLimitError as exc:
         return IsoVerdict(RESOURCE_EXCEEDED, detail=str(exc))
     if groebner.contains_one(basis):

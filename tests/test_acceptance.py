@@ -288,7 +288,7 @@ def test_criterion_10_groebner_engine():
                 ok &= reduce_poly(s_polynomial(basis[i], basis[j]),
                                   basis).is_zero()
     ring = PolyRing(QQ, ["x"])
-    basis = buchberger([ring.var("x"), ring.var("x") - ring.const(1)])
+    basis = buchberger([ring.parse("x"), ring.parse("x - 1")])
     ok &= contains_one(basis) and [g.render() for g in basis] == ["1"]
     report(10, ok, "20 random systems: permutation-stable reduced bases, "
                    "all S-polynomials reduce to 0; {x, x-1} -> {1}")

@@ -9,13 +9,15 @@ from pathlib import Path
 import pytest
 
 import jordannil
-from jordannil import homsearch, isotest, linalg, tables
+from jordannil import groebner, homsearch, isotest, linalg, tables
 from jordannil.algebra import Algebra, is_isomorphism, zero_algebra
 from jordannil.classify import brute_force_classes, classify_dim
 from jordannil.field import GF, QQ
-from jordannil.groebner import PolyRing, buchberger, contains_one
-from jordannil.isotest import decide, eliminate_linear, iso_system, prefilter
+from jordannil.groebner import (PolyRing, buchberger, contains_one,
+                                eliminate_linear)
+from jordannil.isotest import decide, iso_system, prefilter
 
+import theory
 from theory import automorphisms, verify_witness
 
 
@@ -40,16 +42,52 @@ def test_iso_system_shape():
     assert ring.names == ("a11", "a12", "a21", "a22", "b")
 
 
+def evaluate(p, point):
+    """p at the point, one value per variable, in field arithmetic."""
+    f = p.ring.field
+    acc = f.zero
+    for m, c in p.terms.items():
+        for v, e in zip(point, p.ring.unpack(m)):
+            for _ in range(e):
+                c = f.mul(c, f.of(v))
+        acc = f.add(acc, c)
+    return acc
+
+
 def test_known_automorphism_solves_system():
     # a -> 2a, b -> 4b is an automorphism of (a² = b); the slack takes 1/det
     j22 = Algebra(QQ, 2, {(1, 1, 2): 1})
     polys = iso_system(j22, j22)
-    ring = polys[0].ring
-    values = {0: ring.const(2), 1: ring.const(0),
-              2: ring.const(0), 3: ring.const(4),
-              4: ring.const(Fraction(1, 8))}
-    for p in polys:
-        assert p.substitute(values).is_zero()
+    # (a11, a12, a21, a22, b)
+    point = (2, 0, 0, 4, Fraction(1, 8))
+    assert all(evaluate(p, point) == 0 for p in polys)
+    assert evaluate(polys[-1], (2, 0, 0, 4, 1)) != 0
+
+
+def assert_matches_reference(polys, monkeypatch):
+    """eliminate_linear substitutes the reference's variables in the same
+    order, and each polynomial it returns is a nonzero scalar multiple of
+    the reference's; returns its output."""
+    order = []
+    find = groebner._linear_variable
+
+    def recording(terms, ring):
+        u = find(terms, ring)
+        if u is not None:
+            order.append(ring.unpack(u).index(1))
+        return u
+
+    with monkeypatch.context() as patch:
+        patch.setattr(groebner, "_linear_variable", recording)
+        got = eliminate_linear(polys)
+    want_order, want = theory.eliminate_linear(polys)
+    assert order == want_order
+    assert len(got) == len(want)
+    for p, q in zip(got, want):
+        f = p.ring.field
+        assert p.terms.keys() == q.terms.keys()
+        assert len({f.div(c, q.terms[m]) for m, c in p.terms.items()}) == 1
+    return got
 
 
 def test_eliminate_linear_preserves_contains_one(catalog_algebra):
@@ -63,27 +101,35 @@ def test_eliminate_linear_preserves_contains_one(catalog_algebra):
         assert raw == reduced
 
 
-def test_eliminate_linear_random_systems():
+def test_eliminate_linear_random_systems(monkeypatch):
     rnd = random.Random(61)
     outcomes, eliminated = set(), 0
-    for fld in (QQ, GF(5)):
+    # the last Q systems have fractional coefficients
+    for fld, top in ((QQ, None), (GF(5), None), (QQ, 9)):
         ring = PolyRing(fld, ["x", "y", "z", "w"])
         units = [tuple(int(i == v) for i in range(4)) for v in range(4)]
+
+        def coeff():
+            if top:
+                return Fraction(rnd.randint(-top, top) or 1,
+                                rnd.randint(1, top))
+            return rnd.randint(1, 4)
+
         for _ in range(20):
             polys = []
             for _ in range(rnd.randint(2, 4)):
                 terms = {}
                 for _ in range(rnd.randint(0, 2)):
-                    terms[rnd.choice(units)] = rnd.randint(1, 4)
+                    terms[rnd.choice(units)] = coeff()
                 for _ in range(rnd.randint(1, 2)):
                     mono = [0] * 4
                     mono[rnd.randrange(4)] += 1
                     mono[rnd.randrange(4)] += 1
-                    terms[tuple(mono)] = rnd.randint(1, 4)
+                    terms[tuple(mono)] = coeff()
                 if rnd.random() < 0.5:
-                    terms[(0, 0, 0, 0)] = rnd.randint(1, 4)
+                    terms[(0, 0, 0, 0)] = coeff()
                 polys.append(ring.poly(terms))
-            reduced = eliminate_linear(polys)
+            reduced = assert_matches_reference(polys, monkeypatch)
             eliminated += len(reduced) < len(polys)
             one = contains_one(buchberger(polys))
             assert contains_one(buchberger(reduced)) == one
@@ -94,6 +140,18 @@ def test_eliminate_linear_random_systems():
                     assert [m for m in map(ring.unpack, p.terms)
                             if m[v]] != [unit]
     assert outcomes == {False, True} and eliminated
+
+
+def test_eliminate_linear_on_the_closed_dim4_systems(monkeypatch):
+    """On the iso systems, both ways, of the closed dim-4 pairs that the
+    fingerprint does not separate, the integer route matches the Fraction
+    route."""
+    algebras = [e.algebra(QQ) for e in tables.catalog("closed", 4)]
+    systems = [iso_system(a, b) for a in algebras for b in algebras
+               if a is not b and prefilter(a, b) is None]
+    assert len(systems) == 14
+    for polys in systems:
+        assert assert_matches_reference(polys, monkeypatch)
 
 
 def test_decide_reflexive(catalog_algebra):

@@ -227,3 +227,96 @@ def degrevlex_key(m):
 
 # order name -> ascending sort key of exponent tuples
 ORDER_KEYS = {"lex": lex_key, "degrevlex": degrevlex_key}
+
+
+# -- field arithmetic on {exponent tuple: coefficient}, which Polynomial
+# lacks: test inputs, and the Fraction route of linear elimination that
+# groebner.eliminate_linear is checked against ------------------------------
+
+def tuple_terms(p):
+    return {p.ring.unpack(m): c for m, c in p.terms.items()}
+
+
+def add_terms(f, out, terms, coeff, mono=None):
+    """out += coeff·mono·terms in place over the field f; mono None is 1."""
+    for m, c in terms.items():
+        if mono is not None:
+            m = mono_mul(m, mono)
+        c = f.add(out.get(m, f.zero), f.mul(coeff, c))
+        if c:
+            out[m] = c
+        else:
+            out.pop(m, None)
+    return out
+
+
+def mul_terms(f, a, b):
+    out = {}
+    for m, c in a.items():
+        add_terms(f, out, b, c, m)
+    return out
+
+
+def poly_add(p, q, coeff=1):
+    """p + coeff·q."""
+    f = p.ring.field
+    return p.ring.poly(add_terms(f, tuple_terms(p), tuple_terms(q),
+                                 f.of(coeff)))
+
+
+def poly_mul(p, q):
+    return p.ring.poly(mul_terms(p.ring.field, tuple_terms(p),
+                                 tuple_terms(q)))
+
+
+def poly_scale(p, coeff):
+    return p.ring.poly(add_terms(p.ring.field, {}, tuple_terms(p),
+                                 p.ring.field.of(coeff)))
+
+
+def substitute(f, terms, i, value):
+    """terms with x_i replaced by the polynomial value."""
+    out = {}
+    pows = {}
+    for m, c in terms.items():
+        e = m[i]
+        if e not in pows:
+            pows[e] = {(0,) * len(m): f.one}
+            for _ in range(e):
+                pows[e] = mul_terms(f, pows[e], value)
+        add_terms(f, out, pows[e], c, m[:i] + (0,) + m[i + 1:])
+    return out
+
+
+def linear_variable(terms):
+    """Least i such that the only term involving x_i is c·x_i, or None."""
+    linear = {m.index(1) for m in terms if sum(m) == 1}
+    for m in terms:
+        if sum(m) != 1:
+            linear.difference_update(i for i, e in enumerate(m) if e)
+    return min(linear, default=None)
+
+
+def eliminate_linear(polys):
+    """(indices of the eliminated variables in order, polynomials): the
+    route of groebner.eliminate_linear in field arithmetic, substituting
+    x_i = -rest/c for the first polynomial c·x_i + rest with a linear x_i."""
+    ring = polys[0].ring
+    f = ring.field
+    current = [tuple_terms(p) for p in polys if p.terms]
+    order = []
+    while True:
+        for k, terms in enumerate(current):
+            i = linear_variable(terms)
+            if i is not None:
+                break
+        else:
+            return order, [ring.poly(t) for t in current]
+        terms = current.pop(k)
+        order.append(i)
+        unit = tuple(int(j == i) for j in range(ring.nvars))
+        factor = f.neg(f.inv(terms[unit]))
+        value = add_terms(f, {}, {m: c for m, c in terms.items()
+                                  if m != unit}, factor)
+        current = [t for t in (substitute(f, q, i, value) for q in current)
+                   if t]
