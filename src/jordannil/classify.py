@@ -10,8 +10,8 @@ no two candidates are isomorphic.
 brute_force_classes is the independent oracle: nilpotent_jordan_tables sets
 the symmetric structure constants one product at a time and skips every
 subtree with a non-nilpotent L_x, and each class is marked as the orbit of
-its first table under the generators of GL(n, p), the stabiliser chain of
-the zero algebra.
+its first table under explicit generators of GL(n, p), so the oracle shares
+no search with the Aut(J) that classify_dim uses.
 """
 
 from dataclasses import dataclass
@@ -156,10 +156,27 @@ def nilpotent_jordan_tables(n, fld, seen):
     return walk(0)
 
 
+def gl_generators(fld, n):
+    """Generators of GL(n, p), rows = images of the basis: diag(ω, 1, …, 1)
+    for a primitive root ω, the transvection e_1 ↦ e_1 + e_2 and the cycle
+    e_i ↦ e_{i+1}, each left out where it is the identity.  The cycle
+    conjugates the transvection to every e_i ↦ e_i + e_{i+1} (indices mod
+    n); with their commutators these are the elementary transvections, which
+    generate SL(n, p), and diag(ω, 1, …, 1) adds every determinant."""
+    p = fld.p
+    omega = next(g for g in range(1, p)
+                 if len({pow(g, k, p) for k in range(p - 1)}) == p - 1)
+    ident = linalg.identity(fld, n)
+    gens = [((omega,) + ident[0][1:],) + ident[1:]]
+    if n > 1:
+        gens.append(((fld.one, fld.one) + ident[0][2:],) + ident[1:])
+        gens.append(ident[1:] + ident[:1])
+    return [g for g in gens if g != ident]
+
+
 def brute_force_classes(n, fld):
     """Oracle: enumerate the nilpotent Jordan tables and partition them into
-    isomorphism classes by closing each new table under the GL(n, p)
-    generators."""
+    isomorphism classes by closing each new table under gl_generators."""
     if not fld.is_prime_field:
         raise ValueError("the oracle runs over prime fields")
     slots = n * n * (n + 1) // 2
@@ -180,7 +197,7 @@ def brute_force_classes(n, fld):
         # GL(n, p) is needed from the first class with nonzero products
         if a != zero:
             if gl is None:
-                gl, _ = homsearch.stabiliser_chain(zero)
+                gl = gl_generators(fld, n)
             seen.update(homsearch.orbit(a.table, gl, act))
     reps.sort(key=_class_order)
     return ClassificationResult(

@@ -10,35 +10,36 @@ the others were settled at the node above.  Images are kept linearly
 independent by eliminating each new image against the echelonized earlier
 ones, so complete assignments are isomorphisms.
 
-Over a prime field the search is exhaustive, and the candidate images of the
-next index i are the solutions of the constraints already linear in
-x = phi(e_i): every e_i ∘ e_j = Σ_k c_k e_k with phi(e_j) and each phi(e_k),
-k ≠ i, assigned gives x ∘ phi(e_j) - c_i x = Σ_{k≠i} c_k phi(e_k).  The
-stacked system is solved once per node and its solutions are visited in
-lexicographic order, which is the order of the full candidate list of F_p^n
-restricted to the images that propagation would not reject; so the search
-returns the same witness as a scan of F_p^n.  Over Q it enumerates vectors
-with entries from QQ_ENTRIES and gives up after QQ_NODE_BUDGET nodes, so a
-"not found" answer is only heuristic there.  The full candidate list,
-pⁿ - 1 or 5ⁿ - 1 vectors, raises ResourceLimitError before it is built when
-it exceeds the `points` limit.
+The candidate images of the next index i are the solutions of the
+constraints already linear in x = phi(e_i): every e_i ∘ e_j = Σ_k c_k e_k
+with phi(e_j) and each phi(e_k), k ≠ i, assigned gives
+x ∘ phi(e_j) - c_i x = Σ_{k≠i} c_k phi(e_k).  The stacked system is solved
+once per node, and its solutions with every coordinate in `entries` (F_p,
+or QQ_ENTRIES over Q) are visited in lexicographic order.  That is the
+order of a scan of all vectors over `entries`, restricted to the images
+that propagation would not reject, so the search returns the same witness
+as the scan.  Over a prime field the search is exhaustive; over Q it
+searches that box and gives up after QQ_NODE_BUDGET nodes, so a "not
+found" answer is only heuristic there.  The candidates lie among the pⁿ - 1
+or 5ⁿ - 1 nonzero vectors over `entries`; these are counted, not listed,
+and ResourceLimitError is raised before any is visited when the count
+exceeds the `points` limit.
 
 Every isomorphism maps J^m (m ≥ 2), the centre Z and Z ∩ J² of a onto those
 of b, so `find_isomorphisms` returns no map at once when the fingerprints,
-which hold their dimensions, differ, and over a prime field
-e_i ∈ S(a) iff phi(e_i) ∈ S(b) prunes the candidates (de Graaf prunes the
-same way for nilpotent Lie algebras, J. Algebra 309, 2007): the equations
-of S(b) join the linear system when e_i ∈ S(a), and otherwise the
-candidates in S(b) are dropped.  Pruning removes only subtrees without
-isomorphisms, so the witnesses stay those of the unpruned search.
+which hold their dimensions, differ, and e_i ∈ S(a) iff phi(e_i) ∈ S(b)
+prunes the candidates over any field (de Graaf prunes the same way for
+nilpotent Lie algebras, J. Algebra 309, 2007): the equations of S(b) join
+the linear system when e_i ∈ S(a), and otherwise the candidates in S(b)
+are dropped.  Pruning removes only subtrees without isomorphisms, so the
+witnesses stay those of the unpruned search.
 
 The square-zero cone {x : x ∘ x = 0} is a characteristic set: every
-isomorphism maps the cone of a onto that of b.  Over a prime field, for
+isomorphism maps the cone of a onto that of b, so an index with
+e_i ∘ e_i = 0 only takes square-zero images.  Over a prime field, for
 a ≠ b, `find_isomorphisms` counts the two cones over F_pⁿ and returns no map
-when their sizes differ.  b's cone is the list the search already draws the
-images of square-zero basis vectors from, so the check costs one count over
-a's candidates.  Over Q the candidates are a box, not all of Qⁿ, so its
-count is no invariant and the check does not run.
+when their sizes differ.  Over Q the search sees only a box, not all of Qⁿ,
+and no count of it is an invariant, so the check does not run.
 
 `find_witness` searches from the side with fewer nonzero structure constants
 and inverts the witness if that is b: the fewer constraints the source has,
@@ -80,18 +81,18 @@ def _assignment_order(a):
     return sorted(range(a.dim), key=lambda i: (-counts[i], i))
 
 
-def _candidate_vectors(a):
-    """The nonzero vectors with entries from F_p, or from QQ_ENTRIES over Q.
+def _entries(a):
+    """The coordinates of candidate images: F_p, or QQ_ENTRIES over Q.
 
-    Raises ResourceLimitError before allocating when their number exceeds
-    the `points` limit.
+    Raises ResourceLimitError when the nonzero vectors over them exceed the
+    `points` limit.
     """
     f = a.field
-    entries = range(f.p) if f.is_prime_field else [f.of(e) for e in QQ_ENTRIES]
+    entries = range(f.p) if f.is_prime_field else tuple(map(f.of, QQ_ENTRIES))
     count = len(entries) ** a.dim - 1
     check_points(count, f"the witness search would list {count} candidate "
                         f"images ({len(entries)}^{a.dim} - 1)")
-    return [v for v in iproduct(entries, repeat=a.dim) if any(v)]
+    return entries
 
 
 def _characteristic_pairs(a, b):
@@ -108,42 +109,41 @@ def _characteristic_pairs(a, b):
     return pairs
 
 
-def _square_zero(a, candidates):
-    """The candidates x with x ∘ x = 0 in a."""
-    return [v for v in candidates if not any(a.product(v, v))]
+def _cones_differ(a, b):
+    """True when more or fewer vectors of F_pⁿ square to zero in a than
+    in b, which proves a ≇ b (see the module docstring)."""
+    def cone(x):
+        return sum(1 for v in iproduct(range(x.field.p), repeat=x.dim)
+                   if not any(x.product(v, v)))
+    return cone(a) != cone(b)
 
 
-def _cones_differ(a, candidates, square_zero_b):
-    """True when the candidates square to zero in a more or less often
-    than in b, whose square-zero candidates are listed in square_zero_b.
-
-    Over F_p it proves a ≇ b (see the module docstring); over Q it proves
-    nothing.
-    """
-    return (sum(1 for v in candidates if not any(a.product(v, v)))
-            != len(square_zero_b))
-
-
-def _solutions(p, n, red, pivots):
-    """Solutions of an RREF system over F_p in lexicographic order.
+def _solutions(f, entries, n, red, pivots):
+    """Solutions of an RREF system with every coordinate in `entries`, in
+    lexicographic order.
 
     Column c of `red` is the coefficient of x_{n-1-c} and column n the right
     side.  With the unknowns reversed each pivot unknown depends only on free
-    unknowns of lower index, so counting the free unknowns up in order
-    counts the solutions up in lexicographic order.
+    unknowns of lower index, so counting the free unknowns up over `entries`
+    counts the solutions up in lexicographic order.  A solution with a pivot
+    coordinate outside `entries` is skipped, which never happens over F_p.
     """
     pivot_vars = [n - 1 - c for c in pivots]
     free = [v for v in range(n) if v not in pivot_vars]
-    for values in iproduct(range(p), repeat=len(free)):
-        x = [0] * n
+    for values in iproduct(entries, repeat=len(free)):
+        x = [f.zero] * n
         for v, t in zip(free, values):
             x[v] = t
         for row, v in zip(red, pivot_vars):
             s = row[n]
             for u in free:
                 s -= row[n - 1 - u] * x[u]
-            x[v] = s % p
-        yield tuple(x)
+            s = f.of(s)
+            if s not in entries:
+                break
+            x[v] = s
+        else:
+            yield tuple(x)
 
 
 class _Search:
@@ -157,10 +157,11 @@ class _Search:
     one node in turn; a hit is kept in `found`.
     """
 
-    def __init__(self, a, b, pairs, candidates, square_zero=None):
+    def __init__(self, a, b, pairs):
         f = a.field
         n = a.dim
         self.b, self.f, self.n = b, f, n
+        self.entries = _entries(a)
         self.node_budget = None if f.is_prime_field else QQ_NODE_BUDGET
         self.order = _assignment_order(a)
         self.found = None
@@ -182,33 +183,20 @@ class _Search:
         # e_i ∈ S(a) iff phi(e_i) ∈ S(b) for each characteristic pair.  S(b)
         # is kept as a basis of its annihilator, the h with h·x = 0 on S(b):
         # `inside[i]` holds those rows, echelonized, as equations of the
-        # system linear_candidates solves, `outside[i]` the bases whose
-        # zeros are dropped from the candidates of e_i
+        # system `candidates` solves, `outside[i]` the bases whose zeros are
+        # dropped from the candidates of e_i
         inside = {i: [] for i in range(n)}
         self.outside = {i: [] for i in range(n)}
-        if f.is_prime_field:
-            for sa, sb in dict.fromkeys(pairs):    # equal pairs once
-                if sb.dim in (0, n):
-                    continue             # no nonzero image is excluded
-                ann = linalg.nullspace(f, sb.basis, n)
-                for i in range(n):
-                    if sa.contains(linalg.unit(f, n, i)):
-                        inside[i].extend(h[::-1] + (f.zero,) for h in ann)
-                    else:
-                        self.outside[i].append(ann)
+        for sa, sb in dict.fromkeys(pairs):    # equal pairs once
+            if sb.dim in (0, n):
+                continue                 # no nonzero image is excluded
+            ann = linalg.nullspace(f, sb.basis, n)
+            for i in range(n):
+                if sa.contains(linalg.unit(f, n, i)):
+                    inside[i].extend(h[::-1] + (f.zero,) for h in ann)
+                else:
+                    self.outside[i].append(ann)
         self.inside = {i: linalg.rref(f, rows)[0] for i, rows in inside.items()}
-
-        # indices with e_i ∘ e_i = 0 can only map to square-zero vectors of
-        # b; filtering once keeps deep branches from rescanning the space
-        cand_for = {}
-        for i in range(n):
-            if constraints[(i, i)]:
-                cand_for[i] = candidates
-            else:
-                if square_zero is None:
-                    square_zero = _square_zero(b, candidates)
-                cand_for[i] = square_zero
-        self.cand_for = cand_for
 
     def assign(self, k, vec, trail):
         f, rows, pivots = self.f, self.rows, self.pivots
@@ -230,11 +218,6 @@ class _Search:
         del self.pivots[len(self.pivots) - len(trail):]
 
     def candidates(self, i):
-        if self.f.is_prime_field:
-            return self.linear_candidates(i)
-        return self.cand_for[i]
-
-    def linear_candidates(self, i):
         # for each product constraint linear in x = phi(e_i), the n
         # equations of x ∘ phi(e_j) - c_i x = Σ_{k≠i} c_k phi(e_k), unknowns
         # reversed (see _solutions) and the right side last
@@ -263,18 +246,16 @@ class _Search:
         red, red_pivots = linalg.rref(f, system)
         if red_pivots and red_pivots[-1] == n:
             return []                    # inconsistent: prune the node
-        if not red:
-            found = self.cand_for[i]    # square-zero filtered already
-        else:
-            found = (x for x in _solutions(f.p, n, red, red_pivots) if any(x))
+        found = (x for x in _solutions(f, self.entries, n, red, red_pivots)
+                 if any(x))
         outside = self.outside[i]
         if outside:
             # x ∈ S(b) iff h·x = 0 for every h of S(b)'s annihilator
-            p = f.p
             found = (x for x in found
-                     if all(any(sum(map(mul, h, x)) % p for h in ann)
+                     if all(any(f.of(sum(map(mul, h, x))) for h in ann)
                             for ann in outside))
-        if red and not constraints[(i, i)]:
+        if not constraints[(i, i)]:
+            # e_i ∘ e_i = 0, so phi(e_i) lies in b's square-zero cone
             found = (x for x in found if not any(b.product(x, x)))
         return found
 
@@ -365,7 +346,7 @@ def find_isomorphisms(a, b):
     basis) the search finds, or no map when there is none.
 
     Over Q raises SearchBudgetExceeded after QQ_NODE_BUDGET nodes.  Raises
-    ResourceLimitError when the candidate list exceeds the `points` limit.
+    ResourceLimitError when the candidate box exceeds the `points` limit.
     """
     if a.field != b.field or a.dim != b.dim:
         return []
@@ -375,14 +356,10 @@ def find_isomorphisms(a, b):
         return [ident]
     if a.fingerprint() != b.fingerprint():
         return []
-    pairs = _characteristic_pairs(a, b)
-    candidates = _candidate_vectors(a)
-    square_zero = None
-    if f.is_prime_field:
-        square_zero = _square_zero(b, candidates)
-        if _cones_differ(a, candidates, square_zero):
-            return []
-    search = _Search(a, b, pairs, candidates, square_zero)
+    # _Search checks the `points` bound before the cones are counted
+    search = _Search(a, b, _characteristic_pairs(a, b))
+    if f.is_prime_field and _cones_differ(a, b):
+        return []
     return [search.found] if search.dfs() else []
 
 
@@ -416,8 +393,7 @@ def stabiliser_chain(a):
     f, n = a.field, a.dim
     ident = linalg.identity(f, n)
     act = partial(linalg.vec_mat, f)
-    search = _Search(a, a, _characteristic_pairs(a, a),
-                     _candidate_vectors(a))
+    search = _Search(a, a, _characteristic_pairs(a, a))
     base = []                            # (index, trail) per level
     i = search.next_index()
     while i is not None:

@@ -5,11 +5,13 @@ the structure equations plus the slack relation b·det(φ) − 1 have a common
 zero over the algebraic closure iff the reduced basis is not {1}.  One
 witness step serves every site: the backtracking search, complete over a
 prime field and bounded in height over Q, with an explicit check of what it
-returns that raises InvalidWitnessError under `python -O` too.  Over a prime
-field the search first compares the dimensions of the characteristic
-subspaces and the sizes of the square-zero cones, and a pair that differs
-there has no witness without any search; the Groebner route still gives its
-{1} certificate.  Base mode runs the witness step before the Groebner route;
+returns that raises InvalidWitnessError under `python -O` too.  The search
+first compares the dimensions of the characteristic subspaces, and over a
+prime field the sizes of the square-zero cones; a pair that differs there
+has no witness without any search, and the Groebner route still gives its
+{1} certificate.  Over Q as over F_p the search then prunes by those
+subspaces, keeping e_i in each exactly when its image lies in the
+counterpart.  Base mode runs the witness step before the Groebner route;
 closure mode over Q runs it after, before conceding "isomorphic over the
 closure only".  The system is built as term dicts; groebner.eliminate_linear
 substitutes its linear variables away on the integer form that Buchberger

@@ -3,12 +3,12 @@ import os
 import random
 import tracemalloc
 from fractions import Fraction
-from functools import reduce
+from functools import partial, reduce
 from itertools import product as iproduct
 
 import pytest
 
-from jordannil import extension, homsearch, isotest, linalg, tables
+from jordannil import classify, extension, homsearch, isotest, linalg, tables
 from jordannil.algebra import Algebra, fingerprint_key, zero_algebra
 from jordannil.classify import (brute_force_classes, classify_dim,
                                 descendants_with_reps, nilpotent_jordan_tables)
@@ -199,8 +199,7 @@ def test_brute_force_matches_flat_enumeration(p, group, monkeypatch):
         mass = sum(Fraction(gl_order(2, p), len(automorphism_group(a)))
                    for a in brute_force_classes(2, fld).representatives)
         gl = [linalg.identity(fld, 2)]
-        monkeypatch.setattr(homsearch, "stabiliser_chain",
-                            lambda a: ([], []))
+        monkeypatch.setattr(classify, "gl_generators", lambda fld, n: [])
     expected = flat_oracle(2, fld, gl)
     if group == "trivial":
         assert mass == len(expected)
@@ -222,6 +221,16 @@ def test_brute_force_dim3_f2_representatives():
     ]
     got = brute_force_classes(3, GF(2)).representatives
     assert [a.constants for a in got] == expected
+
+
+@pytest.mark.parametrize("n, p", [(1, 5), (2, 2), (2, 3), (3, 2), (2, 5),
+                                  (3, 3)])
+def test_oracle_generators_generate_gl(n, p):
+    fld = GF(p)
+    group = homsearch.orbit(linalg.identity(fld, n),
+                            classify.gl_generators(fld, n),
+                            partial(linalg.mat_mul, fld))
+    assert len(group) == gl_order(n, p)
 
 
 def test_oracle_orbits_dim3_f2_satisfy_orbit_stabiliser():
@@ -253,9 +262,9 @@ def test_mass_formula(n, p):
 def test_oracle_dim1_skips_the_gl_generators(monkeypatch):
     # the zero table is the only nilpotent table at n = 1 and is fixed by
     # every basis change, so GL(1, p) is never built
-    def refuse(a):
-        raise AssertionError("stabiliser_chain called")
-    monkeypatch.setattr(homsearch, "stabiliser_chain", refuse)
+    def refuse(fld, n):
+        raise AssertionError("gl_generators called")
+    monkeypatch.setattr(classify, "gl_generators", refuse)
     result = brute_force_classes(1, GF(999983))
     assert [a.table for a in result.representatives] == [(((0,),),)]
 

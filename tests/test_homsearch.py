@@ -1,4 +1,5 @@
 import random
+import time
 from functools import partial
 from itertools import product as iproduct
 
@@ -135,14 +136,24 @@ def rescan_propagate(self, trail):
     return True
 
 
+def scan_candidates(self, i):
+    """The reference candidates: every nonzero vector over the entries in
+    lexicographic order, only the square-zero ones when e_i ∘ e_i = 0, with
+    no linear solve."""
+    b, squares = self.b, self.constraints[(i, i)]
+    for x in iproduct(self.entries, repeat=self.n):
+        if any(x) and (squares or not any(b.product(x, x))):
+            yield x
+
+
 def _no_cone_check(monkeypatch):
     monkeypatch.setattr(homsearch, "_cones_differ", lambda *args: False)
 
 
-def _counted(monkeypatch, call, reference):
+def _counted(monkeypatch, call, reference, scan=True):
     """call() and the nodes its searches visited; the reference search has
-    no characteristic subspaces and no cone check, and propagates by
-    rescanning."""
+    no characteristic subspaces and no cone check, propagates by rescanning
+    and, with `scan`, scans every candidate instead of solving for them."""
     searches = []
 
     class Recorded(homsearch._Search):
@@ -156,22 +167,27 @@ def _counted(monkeypatch, call, reference):
             m.setattr(homsearch, "_characteristic_pairs", lambda a, b: [])
             _no_cone_check(m)
             m.setattr(Recorded, "propagate", rescan_propagate)
+            if scan:
+                m.setattr(Recorded, "candidates", scan_candidates)
         out = call()
     return out, sum(s.nodes for s in searches)
 
 
-def _same_as_reference(monkeypatch, call):
+def _same_as_reference(monkeypatch, call, scan=True):
     found, nodes = _counted(monkeypatch, call, reference=False)
-    expected, ref_nodes = _counted(monkeypatch, call, reference=True)
+    expected, ref_nodes = _counted(monkeypatch, call, reference=True,
+                                   scan=scan)
     assert found == expected
     assert nodes <= ref_nodes
     return found, nodes, ref_nodes
 
 
-def _random_conjugate(a, rng):
+def _random_conjugate(a, rng, entries=None):
+    """a in a seeded random basis with entries from F_p, or from `entries`."""
     fld, n = a.field, a.dim
+    entries = entries or range(fld.p)
     while True:
-        m = tuple(tuple(rng.randrange(fld.p) for _ in range(n))
+        m = tuple(tuple(rng.choice(entries) for _ in range(n))
                   for _ in range(n))
         if linalg.rank(fld, m) == n:
             return a.change_basis(m)
@@ -215,13 +231,38 @@ def test_pruned_search_matches_reference_closed_dim4(monkeypatch):
                                lambda: homsearch.find_isomorphisms(x, y))
 
 
+def test_pruned_search_matches_reference_over_q(monkeypatch):
+    # over Q both searches give up after QQ_NODE_BUDGET nodes; each pair
+    # whose reference search ends within the budget is compared (15 of 16)
+    rng = random.Random(3)
+    box = tuple(map(QQ.of, homsearch.QQ_ENTRIES))
+    compared = 0
+    for e in tables.catalog("closed", 3):
+        a = e.algebra(QQ)
+        for b in [_random_conjugate(a, rng, box) for _ in range(2)]:
+            for x, y in ((a, b), (b, a)):
+                def call():
+                    return homsearch.find_isomorphisms(x, y)
+                try:
+                    expected, ref_nodes = _counted(monkeypatch, call,
+                                                   reference=True)
+                except homsearch.SearchBudgetExceeded:
+                    continue
+                found, nodes = _counted(monkeypatch, call, reference=False)
+                assert found == expected and nodes <= ref_nodes, e.entry_id
+                assert not found or is_isomorphism(x, y, found[0])
+                compared += 1
+    assert compared == 15
+
+
 def test_characteristic_subspaces_prune_j46_to_j48(monkeypatch):
     # the cone check refutes this pair before any search; without it the
-    # pair is an exhaustive refutation
+    # pair is an exhaustive refutation, against the same linear solve
+    # without the subspaces (a scan of F_7^4 per image takes minutes)
     _no_cone_check(monkeypatch)
     a, b = _closed("J_{4,6}", GF(7)), _closed("J_{4,8}", GF(7))
     found, nodes, ref_nodes = _same_as_reference(
-        monkeypatch, lambda: homsearch.find_isomorphisms(a, b))
+        monkeypatch, lambda: homsearch.find_isomorphisms(a, b), scan=False)
     assert found == [] and nodes < ref_nodes
 
 
@@ -262,7 +303,27 @@ def test_no_cone_check_over_q():
     # hold different numbers of square-zero vectors, yet a witness exists
     a = Algebra(QQ, 3, {(1, 2, 3): 1})
     b = a.change_basis(((1, 1, -1), (1, 0, -1), (1, -1, 0)))
-    box = homsearch._candidate_vectors(a)
-    assert homsearch._cones_differ(a, box, homsearch._square_zero(b, box))
+    box = list(iproduct(map(QQ.of, homsearch.QQ_ENTRIES), repeat=3))
+
+    def cone(x):
+        return sum(1 for v in box if not any(x.product(v, v)))
+    assert cone(a) != cone(b)
     found = homsearch.find_isomorphisms(a, b)
     assert found and is_isomorphism(a, b, found[0])
+
+
+def test_null_filiform_dim8_over_q():
+    # e_i ∘ e_j = e_{i+j} against its cyclic relabelling: the box holds
+    # 5^8 - 1 vectors, and the search solves for its candidates instead of
+    # filtering the whole box by squares first (which took minutes)
+    n = 8
+
+    def table(relabel):
+        return {(*sorted((relabel(i), relabel(j))), relabel(i + j)): 1
+                for i in range(1, n + 1) for j in range(i, n + 1 - i)}
+    a = Algebra(QQ, n, table(lambda k: k))
+    b = Algebra(QQ, n, table(lambda k: k % n + 1))
+    t0 = time.perf_counter()
+    w = homsearch.find_witness(a, b)
+    assert time.perf_counter() - t0 < 10
+    assert w is not None and is_isomorphism(a, b, w)
