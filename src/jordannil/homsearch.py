@@ -37,9 +37,20 @@ witnesses stay those of the unpruned search.
 The square-zero cone {x : x ∘ x = 0} is a characteristic set: every
 isomorphism maps the cone of a onto that of b, so an index with
 e_i ∘ e_i = 0 only takes square-zero images.  Over a prime field, for
-a ≠ b, `find_isomorphisms` counts the two cones over F_pⁿ and returns no map
-when their sizes differ.  Over Q the search sees only a box, not all of Qⁿ,
-and no count of it is an invariant, so the check does not run.
+a ≠ b, `find_isomorphisms` compares the sizes of the two cones before it
+builds the search, and returns no map when they differ.  No vector is
+squared: the k-th coordinate of x ∘ x is xᵀC_k x, C_k = (c_{ij}^k)_{ij}.
+Over F_2, x ∘ x = Σ x_i (e_i ∘ e_i) is linear and the cone is a kernel.
+Over odd p, with B_1, …, B_m a basis of span{C_k} (m = dim J²), Gauss sums
+(Lidl and Niederreiter, Finite Fields, §5.2 and §6.2) give
+
+    p^m·|cone| = pⁿ + (p - 1)·Σ_μ η((-1)^(r/2)·D)·p^(n - r/2),
+
+over the projective points μ of F_p^m whose form Σ μ_l B_l has even rank
+r > 0 and discriminant D; η is the Legendre symbol.  The (p^m - 1)/(p - 1)
+forms are counted against the `points` limit.  Over Q the search sees only
+a box, not all of Qⁿ, and no count of it is an invariant, so the check does
+not run.
 
 `find_witness` searches from the side with fewer nonzero structure constants
 and inverts the witness if that is b: the fewer constraints the source has,
@@ -109,13 +120,54 @@ def _characteristic_pairs(a, b):
     return pairs
 
 
+def _rank_discriminant(f, flat, n):
+    """(r, D) of the symmetric n × n matrix `flat`, row by row, over F_p,
+    p odd: the rank and the product of the r nonzero entries of a congruent
+    diagonal matrix."""
+    m = [flat[i:i + n] for i in range(0, n * n, n)]
+    r, disc = 0, 1
+    while True:
+        hits = [(i != j, i, j) for i, row in enumerate(m)
+                for j, c in enumerate(row) if c]
+        if not hits:
+            return r, disc
+        # v = e_k, or e_k + e_j if the diagonal is zero: with b = Bv and
+        # c = vᵀBv ≠ 0, B is congruent to diag(c) ⊥ (B - b·bᵀ/c)
+        _, k, j = min(hits)
+        b = m[k] if k == j else linalg.vec_add(f, m[k], m[j])
+        c = b[k] if k == j else f.add(b[k], b[j])
+        r, disc, inv = r + 1, f.mul(disc, c), f.inv(c)
+        m = [linalg.vec_sub(f, row, linalg.vec_scale(f, f.mul(x, inv), b))
+             for row, x in zip(m, b)]
+
+
+def _cone_size(a):
+    """|{x ∈ F_pⁿ : x ∘ x = 0}|, from the pencil of quadratic forms
+    (see the module docstring); no vector is multiplied."""
+    f, n = a.field, a.dim
+    p, flat = f.p, sum(a.table, ())      # flat[n·i + j] = e_i ∘ e_j
+    if p == 2:                           # x ∘ x = Σ x_i (e_i ∘ e_i)
+        return 2 ** (n - linalg.rank(f, flat[::n + 1]))
+    basis = linalg.rref(f, linalg.transpose(flat))[0]   # of the C_k, flat
+    m = len(basis)
+    forms = (p ** m - 1) // (p - 1)
+    check_points(forms, f"the square-zero cone count would sum over "
+                        f"{forms} quadratic forms (({p}^{m} - 1)/{p - 1})")
+    total = p ** n
+    for lead in range(m):                # μ = (0, …, 0, 1, tail)
+        for tail in iproduct(range(p), repeat=m - 1 - lead):
+            r, disc = _rank_discriminant(
+                f, linalg.vec_mat(f, (1,) + tail, basis[lead:]), n)
+            if r % 2 == 0:                # r > 0: the B_l are independent
+                eta = pow((-1) ** (r // 2) * disc, (p - 1) // 2, p)
+                total += (p - 1) * (1 if eta == 1 else -1) * p ** (n - r // 2)
+    return total // p ** m
+
+
 def _cones_differ(a, b):
     """True when more or fewer vectors of F_pⁿ square to zero in a than
     in b, which proves a ≇ b (see the module docstring)."""
-    def cone(x):
-        return sum(1 for v in iproduct(range(x.field.p), repeat=x.dim)
-                   if not any(x.product(v, v)))
-    return cone(a) != cone(b)
+    return _cone_size(a) != _cone_size(b)
 
 
 def _solutions(f, entries, n, red, pivots):
@@ -356,10 +408,11 @@ def find_isomorphisms(a, b):
         return [ident]
     if a.fingerprint() != b.fingerprint():
         return []
-    # _Search checks the `points` bound before the cones are counted
-    search = _Search(a, b, _characteristic_pairs(a, b))
+    # the cones are counted before _Search checks the `points` bound on its
+    # candidates, so a pair they refute needs no bound on pⁿ
     if f.is_prime_field and _cones_differ(a, b):
         return []
+    search = _Search(a, b, _characteristic_pairs(a, b))
     return [search.found] if search.dfs() else []
 
 

@@ -7,9 +7,10 @@ witness step serves every site: the backtracking search, complete over a
 prime field and bounded in height over Q, with an explicit check of what it
 returns that raises InvalidWitnessError under `python -O` too.  The search
 first compares the dimensions of the characteristic subspaces, and over a
-prime field the sizes of the square-zero cones; a pair that differs there
-has no witness without any search, and the Groebner route still gives its
-{1} certificate.  Over Q as over F_p the search then prunes by those
+prime field the sizes of the square-zero cones, computed from quadratic
+forms before any bound on pⁿ applies; a pair that differs there has no
+witness without any search, and the Groebner route still gives its {1}
+certificate.  Over Q as over F_p the search then prunes by those
 subspaces, keeping e_i in each exactly when its image lies in the
 counterpart.  Base mode runs the witness step before the Groebner route;
 closure mode over Q runs it after, before conceding "isomorphic over the

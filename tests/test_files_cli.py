@@ -134,6 +134,38 @@ def test_cli_iso_json(tmp_path, capsys):
     assert payload["certificate"] == ["1"]
 
 
+def test_cli_iso_cones_refute_before_the_candidate_bound(tmp_path, capsys,
+                                                        monkeypatch):
+    # over F_37 the witness search would have 37^4 - 1 = 1 874 160
+    # candidates; the square-zero cones (2 701 and 4 033 vectors) refute the
+    # pair first, from p + 1 = 38 quadratic forms each
+    monkeypatch.delenv("JORDAN_LIMITS", raising=False)
+    j46 = entry_file(tmp_path, "closed", "J_{4,6}", GF(37))
+    j48 = entry_file(tmp_path, "closed", "J_{4,8}", GF(37))
+    code, out = run_cli(capsys, "iso", j46, j48, "--json",
+                        "--expect", "noniso")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["verdict"] == "non_isomorphic_over_closure"
+    assert payload["certificate"] == ["1"]
+
+
+def test_cli_iso_cone_forms_bound_exits_3(tmp_path, capsys, monkeypatch):
+    # at p = 1 000 003 each cone sums over p + 1 forms, above the bound
+    monkeypatch.delenv("JORDAN_LIMITS", raising=False)
+    j46 = entry_file(tmp_path, "closed", "J_{4,6}", GF(1000003))
+    j48 = entry_file(tmp_path, "closed", "J_{4,8}", GF(1000003))
+    t0 = time.perf_counter()
+    assert cli.main(["iso", j46, j48, "--json"]) == 3
+    assert time.perf_counter() - t0 < 10
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("resource limit: the square-zero cone count "
+                            "would sum over 1000004 quadratic forms "
+                            "((1000003^2 - 1)/1000002), above the bound "
+                            "1000000 (JORDAN_LIMITS points=N overrides it)\n")
+
+
 def test_cli_iso_different_dimensions(tmp_path, capsys):
     a = write(tmp_path, "a.alg", "field F 3\ndim 3\n1 1 : 2:1\n")
     b = write(tmp_path, "b.alg", "field F 3\ndim 4\n1 1 : 2:1\n")

@@ -10,7 +10,7 @@ from jordannil.algebra import Algebra, is_isomorphism, zero_algebra
 from jordannil.classify import classify_dim
 from jordannil.field import GF, QQ
 
-from theory import automorphisms
+from theory import automorphisms, cone_size_by_enumeration
 
 
 def _gl(fld, n):
@@ -275,6 +275,39 @@ def test_square_zero_cones_refute_without_search(monkeypatch, p, x, y):
     a, b = _closed(x, GF(p)), _closed(y, GF(p))
     assert a.fingerprint() == b.fingerprint()
     assert homsearch.find_isomorphisms(a, b) == []
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_cone_size_matches_enumeration_on_classes(p):
+    for n in range(1, 5):
+        for a in classify_dim(n, GF(p)).representatives:
+            assert homsearch._cone_size(a) == cone_size_by_enumeration(a), a
+
+
+def test_cone_size_matches_enumeration_on_random_tables():
+    # symmetric tables, neither Jordan nor nilpotent in general, from empty
+    # to dense, so that the pencils span from 0 to n dimensions
+    rng = random.Random(25)
+    for _ in range(320):
+        p, n = rng.choice((2, 3, 5, 7)), rng.randint(1, 4)
+        density = rng.random()
+        table = [[[0] * n for _ in range(n)] for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                for k in range(n):
+                    if rng.random() < density:
+                        table[i][j][k] = table[j][i][k] = rng.randrange(p)
+        a = Algebra.from_table(GF(p), table)
+        assert homsearch._cone_size(a) == cone_size_by_enumeration(a), a
+
+
+def test_cone_count_multiplies_no_vectors(monkeypatch):
+    # F_31^4 has 923 521 vectors; the count works on the pencil of forms
+    def multiplied(self, x, y):
+        raise AssertionError("a vector was multiplied")
+    monkeypatch.setattr(Algebra, "product", multiplied)
+    a, b = _closed("J_{4,6}", GF(31)), _closed("J_{4,8}", GF(31))
+    assert homsearch._cones_differ(a, b)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
