@@ -102,14 +102,16 @@ def test_brute_force_counts():
 
 
 def test_oracle_dim1_iterates_the_field_lazily():
-    # itertools.product would copy range(p) into a tuple of p ints
+    # itertools.product would copy range(p) into a tuple of p ints (about
+    # 3.6 MB), and a cache of operator verdicts at n = 1 would hold one
+    # entry per vector (about 19 MB); without either the peak is under 30 kB
     tracemalloc.start()
     try:
         assert len(brute_force_classes(1, GF(100003))) == 1
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1_000_000
+    assert peak < 100_000
 
 
 def left_power_is_zero(a, i):
@@ -158,6 +160,23 @@ def test_nilpotent_tables_have_nilpotent_left_multiplications():
                 if nilpotent:
                     assert all(left_power_is_zero(a, i) for i in range(n)), a
     assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("n, p", [(3, 2), (2, 5)])
+def test_walk_tests_each_operator_once(n, p, monkeypatch):
+    # the walk completes a row L_{e_i} far more often than there are
+    # operators (9 216 times at (3, F_2)); each distinct one is tested once
+    checked = []
+    real = classify._is_nilpotent_operator
+
+    def counting(fld, rows):
+        checked.append(tuple(rows))
+        return real(fld, rows)
+
+    monkeypatch.setattr(classify, "_is_nilpotent_operator", counting)
+    tables_seen = sum(1 for _ in nilpotent_jordan_tables(n, GF(p), ()))
+    assert tables_seen == {(3, 2): 92, (2, 5): 25}[(n, p)]
+    assert len(checked) == len(set(checked)) <= p ** (n * n)
 
 
 def flat_oracle(n, fld, group):
@@ -246,7 +265,8 @@ def test_oracle_orbits_dim3_f2_satisfy_orbit_stabiliser():
             gl_order(3, 2), a
 
 
-@pytest.mark.parametrize("n, p", [(2, 2), (2, 3), (2, 5), (2, 7), (3, 2)])
+@pytest.mark.parametrize("n, p", [(2, 2), (2, 3), (2, 5), (2, 7), (3, 2),
+                                  (3, 3)])
 def test_mass_formula(n, p):
     # orbit-stabiliser over the pipeline's classes: the orbit of J holds
     # |GL(n, p)| / |Aut(J)| tables, and the orbits partition the tables
@@ -255,8 +275,8 @@ def test_mass_formula(n, p):
                for a in classify_dim(n, fld).representatives)
     tables_seen = sum(1 for _ in nilpotent_jordan_tables(n, fld, ()))
     assert mass == tables_seen
-    if (n, p) == (3, 2):
-        assert tables_seen == 92
+    if n == 3:
+        assert tables_seen == {2: 92, 3: 963}[p]
 
 
 def test_oracle_dim1_skips_the_gl_generators(monkeypatch):
