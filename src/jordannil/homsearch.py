@@ -36,21 +36,21 @@ witnesses stay those of the unpruned search.
 
 The square-zero cone {x : x ∘ x = 0} is a characteristic set: every
 isomorphism maps the cone of a onto that of b, so an index with
-e_i ∘ e_i = 0 only takes square-zero images.  Over a prime field, for
-a ≠ b, `find_isomorphisms` compares the sizes of the two cones before it
-builds the search, and returns no map when they differ.  No vector is
-squared: the k-th coordinate of x ∘ x is xᵀC_k x, C_k = (c_{ij}^k)_{ij}.
-Over F_2, x ∘ x = Σ x_i (e_i ∘ e_i) is linear and the cone is a kernel.
-Over odd p, with B_1, …, B_m a basis of span{C_k} (m = dim J²), Gauss sums
-(Lidl and Niederreiter, Finite Fields, §5.2 and §6.2) give
+e_i ∘ e_i = 0 only takes square-zero images.
 
-    p^m·|cone| = pⁿ + (p - 1)·Σ_μ η((-1)^(r/2)·D)·p^(n - r/2),
-
-over the projective points μ of F_p^m whose form Σ μ_l B_l has even rank
-r > 0 and discriminant D; η is the Legendre symbol.  The (p^m - 1)/(p - 1)
-forms are counted against the `points` limit.  Over Q the search sees only
-a box, not all of Qⁿ, and no count of it is an invariant, so the check does
-not run.
+Over a prime field, for a ≠ b, `find_isomorphisms` compares the pencils of
+a and b before it builds the search, and returns no map when they differ.
+The pencil span{C_k}, C_k = (c_{ij}^k)_{ij}, holds the matrices of the
+forms (x, y) ↦ λ(x ∘ y).  An isomorphism phi with matrix M (rows = images)
+gives λ(phi(x) ∘ phi(y)) = (λ∘phi)(x ∘ y), so B ↦ M·B·Mᵀ maps the pencil
+of b onto that of a.  With B_1, …, B_m a basis of span{C_k} (m = dim J²),
+each projective point μ of F_p^m is counted under the congruence class of
+Σ μ_l B_l: over odd p its rank r and, for even r, the Legendre symbol
+η(D) of its discriminant (scaling by t scales D by t^r); over F_2 its rank
+and whether it is alternating.  These counts are invariants, and they
+determine the size of the square-zero cone; no vector is multiplied.  The
+(p^m - 1)/(p - 1) forms are counted against the `points` limit.  Over Q
+the search sees only a box, not all of Qⁿ, and the check does not run.
 
 `find_witness` searches from the side with fewer nonzero structure constants
 and inverts the witness if that is b: the fewer constraints the source has,
@@ -66,6 +66,7 @@ basic orbit known so far, so Aut(a) comes out as generators and basic orbit
 lengths, and its elements are never listed.
 """
 
+from collections import Counter
 from functools import partial
 from itertools import product as iproduct
 from operator import mul
@@ -120,17 +121,22 @@ def _characteristic_pairs(a, b):
     return pairs
 
 
-def _rank_discriminant(f, flat, n):
-    """(r, D) of the symmetric n × n matrix `flat`, row by row, over F_p,
-    p odd: the rank and the product of the r nonzero entries of a congruent
-    diagonal matrix."""
+def _congruence_class(f, flat, n):
+    """The congruence class of the symmetric n × n matrix `flat`, row by
+    row, over F_p: (rank, alternating) over F_2; over odd p (r, η(D)), D
+    the product of the r nonzero entries of a congruent diagonal matrix, or
+    (r, 0) for odd r."""
     m = [flat[i:i + n] for i in range(0, n * n, n)]
+    if f.p == 2:
+        return linalg.rank(f, m), not any(flat[::n + 1])
     r, disc = 0, 1
     while True:
         hits = [(i != j, i, j) for i, row in enumerate(m)
                 for j, c in enumerate(row) if c]
         if not hits:
-            return r, disc
+            if r % 2:
+                return r, 0
+            return r, 1 if pow(disc, (f.p - 1) // 2, f.p) == 1 else -1
         # v = e_k, or e_k + e_j if the diagonal is zero: with b = Bv and
         # c = vᵀBv ≠ 0, B is congruent to diag(c) ⊥ (B - b·bᵀ/c)
         _, k, j = min(hits)
@@ -141,33 +147,26 @@ def _rank_discriminant(f, flat, n):
              for row, x in zip(m, b)]
 
 
-def _cone_size(a):
-    """|{x ∈ F_pⁿ : x ∘ x = 0}|, from the pencil of quadratic forms
-    (see the module docstring); no vector is multiplied."""
+def _pencil_profile(a):
+    """How many projective points μ of the pencil span{C_k} give a form
+    Σ μ_l B_l of each congruence class (see the module docstring)."""
     f, n = a.field, a.dim
     p, flat = f.p, sum(a.table, ())      # flat[n·i + j] = e_i ∘ e_j
-    if p == 2:                           # x ∘ x = Σ x_i (e_i ∘ e_i)
-        return 2 ** (n - linalg.rank(f, flat[::n + 1]))
     basis = linalg.rref(f, linalg.transpose(flat))[0]   # of the C_k, flat
     m = len(basis)
     forms = (p ** m - 1) // (p - 1)
     check_points(forms, f"the square-zero cone count would sum over "
                         f"{forms} quadratic forms (({p}^{m} - 1)/{p - 1})")
-    total = p ** n
-    for lead in range(m):                # μ = (0, …, 0, 1, tail)
-        for tail in iproduct(range(p), repeat=m - 1 - lead):
-            r, disc = _rank_discriminant(
-                f, linalg.vec_mat(f, (1,) + tail, basis[lead:]), n)
-            if r % 2 == 0:                # r > 0: the B_l are independent
-                eta = pow((-1) ** (r // 2) * disc, (p - 1) // 2, p)
-                total += (p - 1) * (1 if eta == 1 else -1) * p ** (n - r // 2)
-    return total // p ** m
+    return Counter(
+        _congruence_class(f, linalg.vec_mat(f, (1,) + tail, basis[lead:]), n)
+        for lead in range(m)             # μ = (0, …, 0, 1, tail)
+        for tail in iproduct(range(p), repeat=m - 1 - lead))
 
 
-def _cones_differ(a, b):
-    """True when more or fewer vectors of F_pⁿ square to zero in a than
-    in b, which proves a ≇ b (see the module docstring)."""
-    return _cone_size(a) != _cone_size(b)
+def _profiles_differ(a, b):
+    """True when the pencil profiles of a and b differ, which proves a ≇ b
+    (see the module docstring)."""
+    return _pencil_profile(a) != _pencil_profile(b)
 
 
 def _solutions(f, entries, n, red, pivots):
@@ -408,9 +407,9 @@ def find_isomorphisms(a, b):
         return [ident]
     if a.fingerprint() != b.fingerprint():
         return []
-    # the cones are counted before _Search checks the `points` bound on its
-    # candidates, so a pair they refute needs no bound on pⁿ
-    if f.is_prime_field and _cones_differ(a, b):
+    # the profiles are compared before _Search checks the `points` bound on
+    # its candidates, so a pair they refute needs no bound on pⁿ
+    if f.is_prime_field and _profiles_differ(a, b):
         return []
     search = _Search(a, b, _characteristic_pairs(a, b))
     return [search.found] if search.dfs() else []

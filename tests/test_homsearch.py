@@ -1,16 +1,18 @@
 import random
 import time
-from functools import partial
+from functools import cache, partial
+from itertools import combinations
 from itertools import product as iproduct
 
 import pytest
 
-from jordannil import homsearch, linalg, tables
+from jordannil import homsearch, isotest, linalg, tables
 from jordannil.algebra import Algebra, is_isomorphism, zero_algebra
 from jordannil.classify import classify_dim
 from jordannil.field import GF, QQ
 
-from theory import automorphisms, cone_size_by_enumeration
+from theory import (automorphisms, cone_size_by_enumeration,
+                    cone_size_from_profile)
 
 
 def _gl(fld, n):
@@ -146,13 +148,13 @@ def scan_candidates(self, i):
             yield x
 
 
-def _no_cone_check(monkeypatch):
-    monkeypatch.setattr(homsearch, "_cones_differ", lambda *args: False)
+def _no_profile_check(monkeypatch):
+    monkeypatch.setattr(homsearch, "_profiles_differ", lambda *args: False)
 
 
 def _counted(monkeypatch, call, reference, scan=True):
     """call() and the nodes its searches visited; the reference search has
-    no characteristic subspaces and no cone check, propagates by rescanning
+    no characteristic subspaces and no profile check, propagates by rescanning
     and, with `scan`, scans every candidate instead of solving for them."""
     searches = []
 
@@ -165,7 +167,7 @@ def _counted(monkeypatch, call, reference, scan=True):
         m.setattr(homsearch, "_Search", Recorded)
         if reference:
             m.setattr(homsearch, "_characteristic_pairs", lambda a, b: [])
-            _no_cone_check(m)
+            _no_profile_check(m)
             m.setattr(Recorded, "propagate", rescan_propagate)
             if scan:
                 m.setattr(Recorded, "candidates", scan_candidates)
@@ -256,10 +258,10 @@ def test_pruned_search_matches_reference_over_q(monkeypatch):
 
 
 def test_characteristic_subspaces_prune_j46_to_j48(monkeypatch):
-    # the cone check refutes this pair before any search; without it the
+    # the profile check refutes this pair before any search; without it the
     # pair is an exhaustive refutation, against the same linear solve
     # without the subspaces (a scan of F_7^4 per image takes minutes)
-    _no_cone_check(monkeypatch)
+    _no_profile_check(monkeypatch)
     a, b = _closed("J_{4,6}", GF(7)), _closed("J_{4,8}", GF(7))
     found, nodes, ref_nodes = _same_as_reference(
         monkeypatch, lambda: homsearch.find_isomorphisms(a, b), scan=False)
@@ -277,11 +279,45 @@ def test_square_zero_cones_refute_without_search(monkeypatch, p, x, y):
     assert homsearch.find_isomorphisms(a, b) == []
 
 
+@pytest.mark.parametrize("p, k", [(5, 2), (7, 1)])
+def test_pencil_profiles_refute_forms_of_one_closure_class(monkeypatch, p,
+                                                           k):
+    # a² = c, b² = d against a² = c, ab = d, b² = c + k·d: one class over
+    # the closure, so there is no {1} certificate, and the square-zero cones
+    # have the same size; without the profile the exhaustive search took
+    # 2 s over F_5 and 28 s over F_7
+    def entered(self):
+        raise AssertionError("the search ran")
+    monkeypatch.setattr(homsearch._Search, "dfs", entered)
+    fld = GF(p)
+    a = Algebra(fld, 4, {(1, 1, 3): 1, (2, 2, 4): 1})
+    b = Algebra(fld, 4, {(1, 1, 3): 1, (1, 2, 4): 1, (2, 2, 3): 1,
+                         (2, 2, 4): k})
+    for x, y in ((a, b), (b, a)):
+        assert homsearch.find_isomorphisms(x, y) == []
+        verdict = isotest.decide(x, y)
+        assert verdict.kind == isotest.ISOMORPHIC_OVER_CLOSURE
+        assert verdict.base_field_conclusive
+        assert verdict.detail == "no base-field witness (exhaustive search)"
+
+
+@pytest.fixture(scope="module")
+def classes():
+    """classes(n, p): the representatives of classify_dim(n, GF(p)), each
+    classified once per module."""
+    return cache(lambda n, p: classify_dim(n, GF(p)).representatives)
+
+
+def _cone_size(a):
+    return cone_size_from_profile(homsearch._pencil_profile(a), a.field.p,
+                                  a.dim)
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
-def test_cone_size_matches_enumeration_on_classes(p):
+def test_cone_size_matches_enumeration_on_classes(classes, p):
     for n in range(1, 5):
-        for a in classify_dim(n, GF(p)).representatives:
-            assert homsearch._cone_size(a) == cone_size_by_enumeration(a), a
+        for a in classes(n, p):
+            assert _cone_size(a) == cone_size_by_enumeration(a), a
 
 
 def test_cone_size_matches_enumeration_on_random_tables():
@@ -298,25 +334,24 @@ def test_cone_size_matches_enumeration_on_random_tables():
                     if rng.random() < density:
                         table[i][j][k] = table[j][i][k] = rng.randrange(p)
         a = Algebra.from_table(GF(p), table)
-        assert homsearch._cone_size(a) == cone_size_by_enumeration(a), a
+        assert _cone_size(a) == cone_size_by_enumeration(a), a
 
 
 def test_cone_count_multiplies_no_vectors(monkeypatch):
-    # F_31^4 has 923 521 vectors; the count works on the pencil of forms
+    # F_31^4 has 923 521 vectors; the profile works on the pencil of forms
     def multiplied(self, x, y):
         raise AssertionError("a vector was multiplied")
     monkeypatch.setattr(Algebra, "product", multiplied)
     a, b = _closed("J_{4,6}", GF(31)), _closed("J_{4,8}", GF(31))
-    assert homsearch._cones_differ(a, b)
+    assert homsearch._profiles_differ(a, b)
 
 
-@pytest.mark.parametrize("p", [2, 3, 5])
-def test_cone_check_passes_conjugates(monkeypatch, p):
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_cone_check_passes_conjugates(classes, monkeypatch, p):
     # isomorphic algebras pass both checks and reach the (stubbed) search
     rng = random.Random(p)
-    fld = GF(p)
     pairs = [(a, _random_conjugate(a, rng)) for n in range(1, 5)
-             for a in classify_dim(n, fld).representatives]
+             for a in classes(n, p)]
     searched = []
 
     def entered(self):
@@ -329,6 +364,17 @@ def test_cone_check_passes_conjugates(monkeypatch, p):
             homsearch.find_isomorphisms(x, y)
             # equal tables return the identity before either check
             assert searched or x == y, (x, y)
+
+
+@pytest.mark.parametrize("p, pairs, split", [(2, 59, 56), (3, 14, 14),
+                                             (5, 14, 14), (7, 14, 14)])
+def test_profiles_split_dim4_classes(classes, p, pairs, split):
+    # the dim-4 class pairs with equal fingerprints; the square-zero cone
+    # sizes split 34 of them over F_2 and 12 over F_3, F_5 and F_7
+    same = [(a, b) for a, b in combinations(classes(4, p), 2)
+            if a.fingerprint() == b.fingerprint()]
+    assert len(same) == pairs
+    assert sum(homsearch._profiles_differ(a, b) for a, b in same) == split
 
 
 def test_no_cone_check_over_q():

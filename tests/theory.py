@@ -24,9 +24,38 @@ def automorphisms(a):
 
 def cone_size_by_enumeration(a):
     """|{x ∈ F_pⁿ : x ∘ x = 0}|, by squaring every vector: the reference
-    for homsearch's count from the pencil of quadratic forms."""
+    for `cone_size_from_profile` on homsearch's pencil profile."""
     return sum(1 for v in iproduct(range(a.field.p), repeat=a.dim)
                if not any(a.product(v, v)))
+
+
+def cone_size_from_profile(profile, p, n):
+    """|{x ∈ F_pⁿ : x ∘ x = 0}| from the counts of the congruence classes
+    of the (p^m - 1)/(p - 1) forms Σ μ_l B_l of the pencil (see homsearch's
+    module docstring), m = dim J².
+
+    Over odd p, Gauss sums (Lidl and Niederreiter, Finite Fields, §5.2 and
+    §6.2) give
+
+        p^m·|cone| = pⁿ + (p - 1)·Σ_μ η((-1)^(r/2)·D)·p^(n - r/2)
+
+    over the points μ whose form has even rank r > 0 and discriminant D, η
+    the Legendre symbol.  Over F_2, x ∘ x = Σ x_i (e_i ∘ e_i) is linear,
+    and the functionals on J² that vanish on its image are the forms with
+    zero diagonal: 0 and the A alternating ones.  So x ↦ x ∘ x has rank
+    m - log_2(A + 1), and |cone| = 2^(n - m)·(A + 1).
+    """
+    p_m = (p - 1) * sum(profile.values()) + 1
+    if p == 2:
+        alternating = sum(c for (_, alt), c in profile.items() if alt)
+        return 2 ** n * (alternating + 1) // p_m
+    eta_minus_one = 1 if p % 4 == 1 else -1
+    total = p ** n
+    for (r, eta), count in profile.items():
+        if r % 2 == 0:
+            total += ((p - 1) * count * eta * eta_minus_one ** (r // 2)
+                      * p ** (n - r // 2))
+    return total // p_m
 
 
 def gl_order(n, p):
