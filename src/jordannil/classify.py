@@ -17,8 +17,8 @@ nilpotency verdict (at most p^(n²) of them); at n = 1 each operator comes
 once and is tested without a cache.
 """
 
-from dataclasses import dataclass
 from itertools import product as iproduct
+from typing import NamedTuple
 
 from . import extension, homsearch, linalg, orbits
 from .algebra import Algebra, fingerprint_key, zero_algebra
@@ -26,8 +26,7 @@ from .files import render_algebra
 from .limits import ResourceLimitError
 
 
-@dataclass(frozen=True)
-class Provenance:
+class Provenance(NamedTuple):
     kind: str                 # "base", "direct_sum", "extension" or "oracle"
     parent_dim: int = None
     parent_index: int = None  # index into classify_dim(parent_dim) output
@@ -47,12 +46,16 @@ class Provenance:
                 f"{self.rep_coords}")
 
 
-@dataclass(frozen=True)
 class ClassificationResult:
-    dim: int
-    field: object
-    representatives: tuple
-    provenance: tuple
+    """The classes of one dimension over one field, each with its origin."""
+
+    __slots__ = ("dim", "field", "representatives", "provenance")
+
+    def __init__(self, dim, field, representatives, provenance):
+        self.dim = dim
+        self.field = field
+        self.representatives = representatives
+        self.provenance = provenance
 
     def __len__(self):
         return len(self.representatives)

@@ -1,8 +1,10 @@
 """Exact ground fields: the rationals and prime fields F_p.
 
-A field object is the arithmetic context; elements are plain values
-(`fractions.Fraction` for Q, ints in [0, p) for F_p).  Everything is exact,
-there is no floating point anywhere in the package.
+A field object is the arithmetic context; elements are plain values (over
+Q an int when integral, else a `fractions.Fraction`; over F_p an int in
+[0, p)).  Every Q operation returns that canonical form; an int and a
+Fraction of equal value compare, hash and print the same.  Everything is
+exact, there is no floating point anywhere in the package.
 """
 
 from fractions import Fraction
@@ -50,47 +52,50 @@ class Field:
         return self.mul(x, self.inv(y))
 
 
+def _q(x):
+    """The rational x in canonical form: an int when integral."""
+    return x if type(x) is int or x.denominator != 1 else x.numerator
+
+
 class Rationals(Field):
-    """The field Q with arbitrary-precision Fraction elements."""
+    """The field Q: ints when integral, else arbitrary-precision Fractions."""
 
     kind = "Q"
     characteristic = 0
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     def of(self, x):
-        if isinstance(x, Fraction):
-            return x
-        if isinstance(x, int):
-            return Fraction(x)
+        if isinstance(x, (int, Fraction)):
+            return _q(x)
         if isinstance(x, str):
             return self.parse(x)
         raise TypeError(f"cannot coerce {x!r} into Q")
 
     def add(self, x, y):
-        return x + y
+        return _q(x + y)
 
     def neg(self, x):
         return -x
 
     def sub(self, x, y):
-        return x - y
+        return _q(x - y)
 
     def mul(self, x, y):
-        return x * y
+        return _q(x * y)
 
     def inv(self, x):
         if x == 0:
             raise ZeroDivisionError("inverse of 0")
-        return 1 / Fraction(x)
+        return _q(Fraction(x.denominator, x.numerator))
 
     def parse(self, text):
         text = text.strip()
         try:
             if "/" in text:
                 num, den = text.split("/")
-                return Fraction(int(num), int(den))
-            return Fraction(int(text))
+                return _q(Fraction(int(num), int(den)))
+            return int(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"bad rational literal {text!r}") from exc
 

@@ -17,8 +17,9 @@ its term is popped from the loop's heap.  `eliminate_linear`, which
 substitutes away the linear variables of an isomorphism system before
 Buchberger runs, is the same loop on the same ints.  A Polynomial is a
 value to parse, render and compare, with no arithmetic of its own;
-Fractions appear only in what `reduce_poly`, `s_polynomial`, `buchberger`
-and `eliminate_linear` return.
+Fractions appear only as the non-integral coefficients of what
+`reduce_poly`, `s_polynomial` and `buchberger` return; an integral
+rational is an int there, as everywhere over Q.
 """
 
 import re
@@ -36,7 +37,7 @@ _OVERFLOW = f"a monomial's exponent or degree exceeds {BOUND}"
 class PolyRing:
     """Polynomial ring: a field, named variables and a monomial order."""
 
-    __slots__ = ("field", "names", "order", "guard", "_index", "_units",
+    __slots__ = ("field", "names", "order", "guard", "units", "_index",
                  "_shifts")
 
     def __init__(self, field, names, order="degrevlex"):
@@ -59,8 +60,9 @@ class PolyRing:
         ones = sum(1 << W * f for f in range(2 * n if order == "degrevlex" else n))
         self.guard = ones << W - 1
         self._shifts = tuple(W * (n - 1 - i) for i in range(n))
-        self._units = tuple((1 << s) + (ones >> W * (n + i) << W * (n + i))
-                            for i, s in enumerate(self._shifts))
+        # the monomials x_1, ..., x_n; a product of monomials is their sum
+        self.units = tuple((1 << s) + (ones >> W * (n + i) << W * (n + i))
+                           for i, s in enumerate(self._shifts))
 
     @property
     def nvars(self):
@@ -125,7 +127,7 @@ class PolyRing:
                      else (max(exps, default=0), "exponent"))
         if top > BOUND:
             raise ValueError(f"{what} {top} exceeds the bound {BOUND}")
-        return sum(e * u for e, u in zip(exps, self._units))
+        return sum(e * u for e, u in zip(exps, self.units))
 
     def unpack(self, m):
         """The exponent vector of a monomial."""
@@ -133,7 +135,7 @@ class PolyRing:
 
     def lcm(self, a, b):
         m = sum(max(x, y) * u for x, y, u in
-                zip(self.unpack(a), self.unpack(b), self._units))
+                zip(self.unpack(a), self.unpack(b), self.units))
         if m & self.guard:
             raise ResourceLimitError(_OVERFLOW)
         return m
@@ -214,7 +216,8 @@ def _polynomial(ring, terms, den):
     """The field polynomial of ints / den (den is 1 over F_p)."""
     p = ring.field.characteristic
     return Polynomial(ring, {m: c % p for m, c in terms.items() if c % p}
-                      if p else {m: Fraction(c, den) for m, c in terms.items()})
+                      if p else {m: Fraction(c, den) if c % den else c // den
+                                 for m, c in terms.items()})
 
 
 def _normal_form(work, basis, ring):
@@ -394,7 +397,7 @@ def _linear_variable(terms, ring):
     """The least x_i, as a monomial, such that the only term of the int
     polynomial terms that x_i divides is c·x_i; or None."""
     guard = ring.guard
-    for u in ring._units:
+    for u in ring.units:
         if u in terms and all((m - u) & guard for m in terms if m != u):
             return u
     return None
@@ -412,7 +415,7 @@ def eliminate_linear(polys):
     if not polys:
         return []
     ring = polys[0].ring
-    p = ring.field.characteristic
+    guard, p = ring.guard, ring.field.characteristic
     current = [_element(p, g.terms)[2] for g in polys]
     while True:
         for k, terms in enumerate(current):
@@ -422,8 +425,17 @@ def eliminate_linear(polys):
         else:
             return [_polynomial(ring, terms, 1) for terms in current]
         g = [_element(p, current.pop(k), u)]
-        current = [_element(p, r)[2] for r in
-                   (_normal_form(t, g, ring)[0] for t in current) if r]
+        # only a polynomial with a term that u divides changes; every other
+        # one is already primitive, or monic mod p
+        kept = []
+        for t in current:
+            if any(not (m - u) & guard for m in t):
+                t = _normal_form(t, g, ring)[0]
+                if not t:
+                    continue
+                t = _element(p, t)[2]
+            kept.append(t)
+        current = kept
 
 
 def contains_one(basis):

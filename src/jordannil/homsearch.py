@@ -155,8 +155,9 @@ def _pencil_profile(a):
     basis = linalg.rref(f, linalg.transpose(flat))[0]   # of the C_k, flat
     m = len(basis)
     forms = (p ** m - 1) // (p - 1)
-    check_points(forms, f"the square-zero cone count would sum over "
-                        f"{forms} quadratic forms (({p}^{m} - 1)/{p - 1})")
+    count = f"{p}^{m} - 1" if p == 2 else f"({p}^{m} - 1)/{p - 1}"
+    check_points(forms, f"the pencil profile would rank {forms} forms "
+                        f"({count})")
     return Counter(
         _congruence_class(f, linalg.vec_mat(f, (1,) + tail, basis[lead:]), n)
         for lead in range(m)             # μ = (0, …, 0, 1, tail)

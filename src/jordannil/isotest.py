@@ -14,18 +14,18 @@ gives its {1} certificate when one exists.  Over Q as over F_p the search
 then prunes by those subspaces, keeping e_i in each exactly when its image
 lies in the counterpart.  Base mode runs the witness step before the
 Groebner route; closure mode over Q runs it after, before conceding
-"isomorphic over the closure only".  The system is built as term dicts;
-groebner.eliminate_linear substitutes its linear variables away on the
-integer form that Buchberger then starts from.  The Groebner budgets come
-only from JORDAN_LIMITS.
+"isomorphic over the closure only".  The system is built on packed
+monomials; groebner.eliminate_linear substitutes its linear variables away
+on the integer form that Buchberger then starts from.  The Groebner
+budgets come only from JORDAN_LIMITS.
 """
 
-from dataclasses import dataclass, field as dc_field
 from itertools import permutations
+from typing import NamedTuple
 
 from . import algebra as algebra_mod
 from . import groebner, homsearch
-from .groebner import PolyRing
+from .groebner import PolyRing, Polynomial
 from .limits import ResourceLimitError
 
 ISOMORPHIC = "isomorphic"
@@ -38,14 +38,13 @@ MODE_BASE_FIELD_FIRST = "base"
 MODE_CLOSURE_ONLY = "closure"
 
 
-@dataclass(frozen=True)
-class IsoVerdict:
+class IsoVerdict(NamedTuple):
     kind: str
     witness: tuple = None
     certificate: tuple = None       # reduced Groebner basis, for the {1} case
     invariant: str = None
     base_field_conclusive: bool = False
-    detail: str = dc_field(default="")
+    detail: str = ""
 
     @property
     def non_isomorphic(self):
@@ -81,45 +80,34 @@ def iso_system(a, b):
     n = a.dim
     fld = a.field
     ring = iso_ring(n, fld)
-
-    def avar(i, j):  # 1-based
-        return (i - 1) * n + (j - 1)
-
+    # x[k][m] is the monomial a_{k+1,m+1}; a product of two is their sum
+    x = [ring.units[k * n:(k + 1) * n] for k in range(n)]
     polys = []
-    for i in range(1, n + 1):
-        for j in range(1, i + 1):
-            cij = a.table[i - 1][j - 1]
-            for m in range(1, n + 1):
-                terms = {}
-                for k in range(1, n + 1):
-                    c = cij[k - 1]
-                    if c:
-                        mono = [0] * ring.nvars
-                        mono[avar(k, m)] = 1
-                        terms[tuple(mono)] = fld.add(
-                            terms.get(tuple(mono), fld.zero), c)
-                for k in range(1, n + 1):
-                    for l in range(1, n + 1):
-                        g = b.table[k - 1][l - 1][m - 1]
+    for i in range(n):
+        for j in range(i + 1):
+            cij = a.table[i][j]
+            for m in range(n):
+                terms = {x[k][m]: c for k, c in enumerate(cij) if c}
+                for k in range(n):
+                    for l, gkl in enumerate(b.table[k]):
+                        g = gkl[m]
                         if g:
-                            mono = [0] * ring.nvars
-                            mono[avar(i, k)] += 1
-                            mono[avar(j, l)] += 1
-                            terms[tuple(mono)] = fld.sub(
-                                terms.get(tuple(mono), fld.zero), g)
-                poly = ring.poly(terms)
-                if poly:
-                    polys.append(poly)
+                            mono = x[i][k] + x[j][l]
+                            terms[mono] = fld.sub(terms.get(mono, fld.zero), g)
+                terms = {mono: c for mono, c in terms.items() if c}
+                if terms:
+                    polys.append(Polynomial(ring, terms))
     # b·det(a_ij) − 1, det by its Leibniz expansion; n stays at desk scale
-    slack = {(0,) * ring.nvars: -1}
+    one = fld.one
+    minus = fld.neg(one)
+    b_var = ring.units[n * n]
+    slack = {0: minus}
     for perm in permutations(range(n)):
-        mono = [0] * n * n + [1]
-        for i in range(n):
-            mono[i * n + perm[i]] = 1
-        inversions = sum(perm[x] > perm[y]
-                         for x in range(n) for y in range(x + 1, n))
-        slack[tuple(mono)] = -1 if inversions % 2 else 1
-    polys.append(ring.poly(slack))
+        inversions = sum(perm[s] > perm[t]
+                         for s in range(n) for t in range(s + 1, n))
+        slack[b_var + sum(x[i][perm[i]] for i in range(n))] = (
+            minus if inversions % 2 else one)
+    polys.append(Polynomial(ring, slack))
     return polys
 
 

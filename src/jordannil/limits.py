@@ -5,15 +5,14 @@ instead of running away; the CLI turns that into exit code 3.
 """
 
 import os
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 
 class ResourceLimitError(RuntimeError):
     """A computation would exceed its budget in Limits."""
 
 
-@dataclass(frozen=True)
-class Limits:
+class Limits(NamedTuple):
     max_pairs: int = 200_000
     max_terms: int = 100_000
     max_basis: int = 2_000
@@ -25,7 +24,6 @@ class Limits:
     def from_env(cls, env=None):
         """Parse JORDAN_LIMITS, e.g. `pairs=5000,terms=10000,points=100`."""
         text = (env if env is not None else os.environ).get("JORDAN_LIMITS", "")
-        names = {f.name for f in fields(cls)}
         values = {}
         for part in text.split(","):
             part = part.strip()
@@ -33,7 +31,7 @@ class Limits:
                 continue
             key, _, val = part.partition("=")
             name = f"max_{key}"
-            if name not in names or not (val.isascii() and val.isdigit()):
+            if name not in cls._fields or not (val.isascii() and val.isdigit()):
                 raise ValueError(f"bad JORDAN_LIMITS entry {part!r}")
             values[name] = int(val)
         return cls(**values)

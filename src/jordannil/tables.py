@@ -7,9 +7,9 @@ sense).  The real tables are the closed ones with five square-class
 families split into members ^{+1} and ^{-1} (_REAL_SPLITS).
 """
 
-from dataclasses import dataclass, replace
 from functools import lru_cache
 import os
+from typing import NamedTuple
 
 from . import isotest
 from .algebra import Algebra, default_labels
@@ -18,8 +18,7 @@ from .field import QQ, GF
 CASES = ("any", "closed", "char2", "real")
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     entry_id: str
     case: str
     dim: int
@@ -111,15 +110,15 @@ _REAL_SPLITS = {
 
 def _real_entries(entry):
     """The real entries of a closed one: itself, or its two family members."""
-    entry = replace(entry, case="real")
+    entry = entry._replace(case="real")
     slot = _REAL_SPLITS.get(entry.entry_id)
     if slot is None:
         return [entry]
     members = []
     for alpha in (1, -1):
         sup = f"^{{{alpha:+d}}}"
-        members.append(replace(
-            entry, entry_id=entry.entry_id + sup, family=entry.entry_id,
+        members.append(entry._replace(
+            entry_id=entry.entry_id + sup, family=entry.entry_id,
             products=tuple((i, j, k, alpha * c if (i, j, k) == slot else c)
                            for i, j, k, c in entry.products),
             decomposition=" + ".join(
@@ -204,8 +203,7 @@ def _pair_job(args):
     return (e1.entry_id, e2.entry_id, method, ok, detail)
 
 
-@dataclass
-class CatalogReport:
+class CatalogReport(NamedTuple):
     case: str
     dim: int
     entry_checks: tuple   # (id, {check: bool})

@@ -100,3 +100,44 @@ def test_fraction_coercion_into_prime_field():
     assert GF(5).of(Fraction(1, 2)) == 3   # 2 * 3 = 6 = 1 mod 5
     with pytest.raises(ZeroDivisionError):
         GF(5).of(Fraction(1, 5))
+
+
+def canonical(x):
+    """The rational x as Q holds it: an int when integral, else x."""
+    return x.numerator if x.denominator == 1 else x
+
+
+def test_rationals_are_ints_when_integral():
+    assert (QQ.zero, QQ.one) == (0, 1)
+    assert type(QQ.zero) is int and type(QQ.one) is int
+    assert type(QQ.of(Fraction(4, 2))) is int and QQ.of(Fraction(4, 2)) == 2
+    assert type(QQ.of(True)) is int
+    assert QQ.inv(2) == Fraction(1, 2) and type(QQ.inv(2)) is Fraction
+    assert type(QQ.inv(Fraction(-1, 3))) is int
+    assert type(QQ.parse("6/3")) is int and type(QQ.parse("-4")) is int
+    assert type(QQ.parse("1/3")) is Fraction
+
+
+def test_rational_ops_match_fraction_arithmetic():
+    """add, sub, mul, inv and div agree with plain Fraction arithmetic on
+    the value and return the canonical type; render and hash do not see
+    the type, so tables, keys and output are those of Fractions."""
+    rnd = random.Random(28)
+    types = set()
+    for _ in range(400):
+        x, y = (Fraction(rnd.randint(-12, 12), rnd.choice((1, 1, 2, 3, 4)))
+                for _ in range(2))
+        qx, qy = QQ.of(x), QQ.of(y)
+        want = {"add": x + y, "sub": x - y, "mul": x * y, "neg": -x}
+        got = {"add": QQ.add(qx, qy), "sub": QQ.sub(qx, qy),
+               "mul": QQ.mul(qx, qy), "neg": QQ.neg(qx)}
+        if y:
+            want["inv"], got["inv"] = 1 / y, QQ.inv(qy)
+            want["div"], got["div"] = x / y, QQ.div(qx, qy)
+        for name, value in want.items():
+            assert got[name] == value, (name, x, y)
+            assert type(got[name]) is type(canonical(value)), (name, x, y)
+            assert QQ.render(got[name]) == str(value)
+            assert hash(got[name]) == hash(value)
+            types.add(type(got[name]))
+    assert types == {int, Fraction}

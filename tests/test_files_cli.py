@@ -14,6 +14,7 @@ from jordannil.algebra import Algebra
 from jordannil.field import GF, QQ
 from jordannil.files import AlgebraFileError, parse_algebra_file, render_algebra
 from jordannil.groebner import BOUND
+from jordannil.limits import ResourceLimitError
 
 
 def test_round_trip_catalog(all_catalog_entries):
@@ -151,7 +152,7 @@ def test_cli_iso_cones_refute_before_the_candidate_bound(tmp_path, capsys,
 
 
 def test_cli_iso_cone_forms_bound_exits_3(tmp_path, capsys, monkeypatch):
-    # at p = 1 000 003 each cone sums over p + 1 forms, above the bound
+    # at p = 1 000 003 each pencil profile ranks p + 1 forms, above the bound
     monkeypatch.delenv("JORDAN_LIMITS", raising=False)
     j46 = entry_file(tmp_path, "closed", "J_{4,6}", GF(1000003))
     j48 = entry_file(tmp_path, "closed", "J_{4,8}", GF(1000003))
@@ -160,10 +161,21 @@ def test_cli_iso_cone_forms_bound_exits_3(tmp_path, capsys, monkeypatch):
     assert time.perf_counter() - t0 < 10
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == ("resource limit: the square-zero cone count "
-                            "would sum over 1000004 quadratic forms "
-                            "((1000003^2 - 1)/1000002), above the bound "
-                            "1000000 (JORDAN_LIMITS points=N overrides it)\n")
+    assert captured.err == ("resource limit: the pencil profile would rank "
+                            "1000004 forms ((1000003^2 - 1)/1000002), above "
+                            "the bound 1000000 (JORDAN_LIMITS points=N "
+                            "overrides it)\n")
+
+
+def test_pencil_forms_bound_over_f2_counts_2m_minus_1(monkeypatch):
+    # a² = c, b² = d: J² has dimension m = 2, so the pencil has 2^2 - 1 forms
+    monkeypatch.setenv("JORDAN_LIMITS", "points=2")
+    a = Algebra(GF(2), 4, {(1, 1, 3): 1, (2, 2, 4): 1})
+    with pytest.raises(ResourceLimitError) as exc:
+        homsearch._pencil_profile(a)
+    assert str(exc.value) == ("the pencil profile would rank 3 forms "
+                              "(2^2 - 1), above the bound 2 (JORDAN_LIMITS "
+                              "points=N overrides it)")
 
 
 def test_cli_iso_different_dimensions(tmp_path, capsys):

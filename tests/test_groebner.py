@@ -4,14 +4,16 @@ from fractions import Fraction
 
 import pytest
 
-from jordannil import cli
+from jordannil import cli, tables
 from jordannil.field import GF, QQ
 from jordannil.groebner import (BOUND, PolyRing, _element, buchberger,
                                 contains_one, eliminate_linear, reduce_poly,
                                 s_polynomial)
+from jordannil.isotest import iso_system
 from jordannil.limits import Limits, ResourceLimitError
-from theory import (ORDER_KEYS, mono_div, mono_divides, mono_lcm, mono_mul,
-                    poly_add, poly_mul, poly_scale, tuple_terms)
+from theory import (ORDER_KEYS, eliminate_linear_reducing_all, mono_div,
+                    mono_divides, mono_lcm, mono_mul, poly_add, poly_mul,
+                    poly_scale, tuple_terms)
 
 
 def ring_xy(fld=QQ, order="lex"):
@@ -504,3 +506,22 @@ def test_eliminate_linear_brings_back_terms_set_aside():
         assert eliminate_linear([g, ring.parse("x*z + y^2*z")]) == []
         assert eliminate_linear([g, ring.parse("x*z + y^2*z + z^2")]) == [
             ring.parse("z^2")]
+
+
+@pytest.mark.parametrize("fld", [QQ, GF(5)], ids=["Q", "F5"])
+def test_eliminate_linear_reduces_only_what_holds_the_variable(fld):
+    """eliminate_linear, which reduces only the polynomials with a term the
+    substituted variable divides, returns what the reference that reduces
+    and re-normalises every polynomial returns: on the iso systems of every
+    ordered pair of distinct closed dim-3 and dim-4 tables, and on random
+    systems (with fractional coefficients over Q)."""
+    algebras = [e.algebra(fld) for e in tables.catalog("closed")
+                if e.dim >= 3]
+    systems = [iso_system(a, b) for a in algebras for b in algebras
+               if a is not b and a.dim == b.dim]
+    rnd = random.Random(29)
+    for _ in range(40):
+        systems.append(random_system(rnd, fld, nvars=4, npolys=4,
+                                     top=9 if fld == QQ else None)[1])
+    for polys in systems:
+        assert eliminate_linear(polys) == eliminate_linear_reducing_all(polys)

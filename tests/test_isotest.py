@@ -42,6 +42,32 @@ def test_iso_system_shape():
     assert ring.names == ("a11", "a12", "a21", "a22", "b")
 
 
+FRACTIONAL = Algebra(QQ, 3, {(1, 1, 2): Fraction(1, 2),
+                              (1, 1, 3): Fraction(-3, 4),
+                              (1, 2, 3): Fraction(5, 3), (2, 2, 3): 2})
+
+
+@pytest.mark.parametrize("fld", [QQ, GF(5), GF(2)], ids=["Q", "F5", "F2"])
+def test_iso_system_matches_exponent_tuples(fld):
+    """On every ordered pair of closed tables of equal dim <= 4, and with a
+    table with fractional constants, iso_system gives the polynomials of
+    the reference built from exponent tuples: the same terms in the same
+    order, with coefficients of the same value and type.  Over F_2 the two
+    terms a_ik·a_il and a_il·a_ik of a square cancel."""
+    algebras = [e.algebra(fld) for e in tables.catalog("closed")]
+    if fld == QQ:
+        algebras.append(FRACTIONAL)
+    pairs = [(a, b) for a in algebras for b in algebras if a.dim == b.dim]
+    assert len(pairs) == (199 if fld == QQ else 190)
+    for a, b in pairs:
+        got, want = iso_system(a, b), theory.iso_system(a, b)
+        assert got == want
+        assert [list(p.terms.items()) for p in got] == [
+            list(p.terms.items()) for p in want]
+        assert [list(map(type, p.terms.values())) for p in got] == [
+            list(map(type, p.terms.values())) for p in want]
+
+
 def evaluate(p, point):
     """p at the point, one value per variable, in field arithmetic."""
     f = p.ring.field

@@ -2,14 +2,15 @@
 re-checking them, and other helpers only the tests use."""
 
 from functools import partial
-from itertools import product as iproduct
+from itertools import permutations, product as iproduct
 from math import prod
 
-from jordannil import cohomology, homsearch, linalg
+from jordannil import cohomology, groebner, homsearch, linalg
 from jordannil.algebra import Algebra, is_isomorphism
 from jordannil.classify import descendants_with_reps
 from jordannil.cohomology import BilinearForm, cocycle_space
 from jordannil.extension import central_extension
+from jordannil.isotest import iso_ring
 from jordannil.linalg import Subspace
 
 
@@ -357,3 +358,73 @@ def eliminate_linear(polys):
                                   if m != unit}, factor)
         current = [t for t in (substitute(f, q, i, value) for q in current)
                    if t]
+
+
+def iso_system(a, b):
+    """The reference for isotest.iso_system: the same polynomials, built
+    from exponent tuples through PolyRing.poly."""
+    n = a.dim
+    fld = a.field
+    ring = iso_ring(n, fld)
+
+    def avar(i, j):  # 1-based
+        return (i - 1) * n + (j - 1)
+
+    polys = []
+    for i in range(1, n + 1):
+        for j in range(1, i + 1):
+            cij = a.table[i - 1][j - 1]
+            for m in range(1, n + 1):
+                terms = {}
+                for k in range(1, n + 1):
+                    c = cij[k - 1]
+                    if c:
+                        mono = [0] * ring.nvars
+                        mono[avar(k, m)] = 1
+                        terms[tuple(mono)] = fld.add(
+                            terms.get(tuple(mono), fld.zero), c)
+                for k in range(1, n + 1):
+                    for l in range(1, n + 1):
+                        g = b.table[k - 1][l - 1][m - 1]
+                        if g:
+                            mono = [0] * ring.nvars
+                            mono[avar(i, k)] += 1
+                            mono[avar(j, l)] += 1
+                            terms[tuple(mono)] = fld.sub(
+                                terms.get(tuple(mono), fld.zero), g)
+                poly = ring.poly(terms)
+                if poly:
+                    polys.append(poly)
+    slack = {(0,) * ring.nvars: -1}
+    for perm in permutations(range(n)):
+        mono = [0] * n * n + [1]
+        for i in range(n):
+            mono[i * n + perm[i]] = 1
+        inversions = sum(perm[x] > perm[y]
+                         for x in range(n) for y in range(x + 1, n))
+        slack[tuple(mono)] = -1 if inversions % 2 else 1
+    polys.append(ring.poly(slack))
+    return polys
+
+
+def eliminate_linear_reducing_all(polys):
+    """The reference for groebner.eliminate_linear: the same substitutions
+    on the same ints, but every polynomial is reduced and re-normalised for
+    each variable substituted away, whether it holds the variable or not."""
+    polys = [g for g in polys if g.terms]
+    if not polys:
+        return []
+    ring = polys[0].ring
+    p = ring.field.characteristic
+    current = [groebner._element(p, g.terms)[2] for g in polys]
+    while True:
+        for k, terms in enumerate(current):
+            u = groebner._linear_variable(terms, ring)
+            if u is not None:
+                break
+        else:
+            return [groebner._polynomial(ring, terms, 1) for terms in current]
+        g = [groebner._element(p, current.pop(k), u)]
+        current = [groebner._element(p, r)[2] for r in
+                   (groebner._normal_form(t, g, ring)[0] for t in current)
+                   if r]
